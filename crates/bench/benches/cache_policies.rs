@@ -11,8 +11,7 @@ use dagon_workloads::{Scale, Workload};
 fn profile_and_blocks() -> (RefProfile, Vec<BlockId>) {
     let dag = Workload::ConnectedComponent.build(&Scale::paper());
     let tracker = PriorityTracker::from_dag(&dag);
-    let mut p = RefProfile::default();
-    p.pv = dag.stage_ids().map(|s| tracker.pv(s)).collect();
+    let mut p = RefProfile::with_pv(dag.stage_ids().map(|s| tracker.pv(s)).collect());
     p.rebuild(&dag, &|_, _| false, &|_| false);
     // A resident set of ~64 blocks drawn across the DAG's RDDs.
     let blocks: Vec<BlockId> = dag
@@ -57,8 +56,7 @@ fn bench_prefetch_ranking(c: &mut Criterion) {
 fn bench_profile_rebuild(c: &mut Criterion) {
     let dag = Workload::ConnectedComponent.build(&Scale::paper());
     let tracker = PriorityTracker::from_dag(&dag);
-    let mut p = RefProfile::default();
-    p.pv = dag.stage_ids().map(|s| tracker.pv(s)).collect();
+    let mut p = RefProfile::with_pv(dag.stage_ids().map(|s| tracker.pv(s)).collect());
     c.bench_function("refprofile_rebuild_cc_paper_scale", |b| {
         b.iter(|| p.rebuild(&dag, &|_, _| false, &|_| false))
     });

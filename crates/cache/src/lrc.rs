@@ -90,8 +90,7 @@ mod tests {
     fn profile() -> RefProfile {
         let dag = fig1();
         let tracker = PriorityTracker::from_dag(&dag);
-        let mut p = RefProfile::default();
-        p.pv = dag.stage_ids().map(|s| tracker.pv(s)).collect();
+        let mut p = RefProfile::with_pv(dag.stage_ids().map(|s| tracker.pv(s)).collect());
         p.rebuild(&dag, &|_, _| false, &|_| false);
         p
     }

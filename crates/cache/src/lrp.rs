@@ -111,8 +111,7 @@ mod tests {
         for k in 0..launched_s2 {
             tracker.on_task_launched(TaskId::new(StageId(1), k), 12 * MIN_MS);
         }
-        let mut p = RefProfile::default();
-        p.pv = dag.stage_ids().map(|s| tracker.pv(s)).collect();
+        let mut p = RefProfile::with_pv(dag.stage_ids().map(|s| tracker.pv(s)).collect());
         let done = done.to_vec();
         p.rebuild(&dag, &|s, _| done.contains(&s), &|s| done.contains(&s));
         p
@@ -158,8 +157,7 @@ mod tests {
         // the block's reference priority becomes the next highest.
         let dag = fig1();
         let tracker = PriorityTracker::from_dag(&dag);
-        let mut p = RefProfile::default();
-        p.pv = dag.stage_ids().map(|s| tracker.pv(s)).collect();
+        let mut p = RefProfile::with_pv(dag.stage_ids().map(|s| tracker.pv(s)).collect());
         p.rebuild(&dag, &|_, _| false, &|_| false);
         // D blocks are read only by stage 3 (S2, pv 28).
         let d0 = BlockId::new(RddId(3), 0);

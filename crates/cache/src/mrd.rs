@@ -106,8 +106,7 @@ mod tests {
     fn profile_with(done: &[StageId]) -> RefProfile {
         let dag = fig1();
         let tracker = PriorityTracker::from_dag(&dag);
-        let mut p = RefProfile::default();
-        p.pv = dag.stage_ids().map(|s| tracker.pv(s)).collect();
+        let mut p = RefProfile::with_pv(dag.stage_ids().map(|s| tracker.pv(s)).collect());
         let done = done.to_vec();
         p.rebuild(&dag, &|s, _| done.contains(&s), &|s| done.contains(&s));
         p

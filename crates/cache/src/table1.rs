@@ -157,8 +157,7 @@ pub fn replay(
 ) -> Table1Result {
     let mut pol = policy.build();
     let mut tracker = PriorityTracker::from_dag(dag);
-    let mut profile = RefProfile::default();
-    profile.pv = dag.stage_ids().map(|s| tracker.pv(s)).collect();
+    let mut profile = RefProfile::with_pv(dag.stage_ids().map(|s| tracker.pv(s)).collect());
 
     let mut task_done: Vec<Vec<bool>> = dag
         .stages()
@@ -279,7 +278,7 @@ pub fn replay(
             // (Table III), which LRP sees.
             tracker.on_task_launched(t, dag.stage(t.stage).task_work(t.index));
             for s in dag.stage_ids() {
-                profile.pv[s.index()] = tracker.pv(s);
+                profile.set_pv(s, tracker.pv(s));
             }
             for b in task_inputs(dag, t) {
                 accesses += 1;

@@ -43,6 +43,15 @@ pub trait CachePolicy {
 
     /// Blocks to drop right now regardless of space pressure (LRP's
     /// proactive eviction of zero-reference-priority data).
+    ///
+    /// Purity contract: the result is a function of `candidates`,
+    /// `profile` and the state the `on_*` callbacks above built, and it is
+    /// a per-block filter — a block's membership does not depend on the
+    /// other candidates. So once a sweep has dropped its victims, a second
+    /// sweep over the survivors returns nothing. The simulator relies on
+    /// this to skip an executor's sweep while neither its BlockManager nor
+    /// the profile has changed (see [`BlockManager::version`] and
+    /// [`RefProfile::version`]).
     fn proactive_victims(
         &mut self,
         _candidates: &[BlockId],
@@ -66,6 +75,11 @@ pub trait CachePolicy {
     /// one ranking per *node* and re-filter it per executor (by free cache
     /// space) instead of re-scoring every candidate per executor. The
     /// default (no prefetching) leaves `out` empty.
+    ///
+    /// Purity contract: `out` is a function of `candidates` and `profile`
+    /// alone. The simulator relies on this to skip an executor's prefetch
+    /// evaluation while its BlockManager, the profile and block residency
+    /// are all unchanged since an evaluation that started nothing.
     fn prefetch_order(
         &mut self,
         _candidates: &[BlockId],
@@ -110,6 +124,9 @@ pub struct BlockManager {
     resident: BTreeMap<BlockId, f64>,
     pinned: BTreeMap<BlockId, u32>,
     policy: Box<dyn CachePolicy>,
+    /// Bumped on every state change: a block inserted or dropped, a pin
+    /// taken or released, a hit fed to the policy.
+    version: u64,
 }
 
 impl BlockManager {
@@ -120,11 +137,18 @@ impl BlockManager {
             resident: BTreeMap::new(),
             pinned: BTreeMap::new(),
             policy,
+            version: 0,
         }
     }
 
     pub fn policy_name(&self) -> &'static str {
         self.policy.policy_name()
+    }
+
+    /// Monotone state version: equal versions mean the same resident and
+    /// pinned sets, the same free space and the same policy state.
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     pub fn contains(&self, b: BlockId) -> bool {
@@ -143,7 +167,7 @@ impl BlockManager {
         self.capacity_mb
     }
 
-    /// Fraction of capacity currently free (1.0 for a zero-capacity cache,
+    /// Fraction of capacity currently free (0.0 for a zero-capacity cache,
     /// so prefetching never triggers on it).
     pub fn free_frac(&self) -> f64 {
         if self.capacity_mb <= 0.0 {
@@ -171,6 +195,7 @@ impl BlockManager {
     pub fn access(&mut self, b: BlockId, now: SimTime) -> bool {
         if self.resident.contains_key(&b) {
             self.policy.on_access(b, now);
+            self.version += 1;
             true
         } else {
             false
@@ -182,6 +207,7 @@ impl BlockManager {
     pub fn pin(&mut self, b: BlockId) {
         if self.resident.contains_key(&b) {
             *self.pinned.entry(b).or_insert(0) += 1;
+            self.version += 1;
         }
     }
 
@@ -191,6 +217,7 @@ impl BlockManager {
             if *c == 0 {
                 self.pinned.remove(&b);
             }
+            self.version += 1;
         }
     }
 
@@ -237,6 +264,7 @@ impl BlockManager {
         self.resident.insert(b, mb);
         self.used_mb += mb;
         self.policy.on_insert(b, now);
+        self.version += 1;
         InsertOutcome::Inserted { evicted }
     }
 
@@ -246,6 +274,7 @@ impl BlockManager {
             self.used_mb -= mb;
             self.pinned.remove(&b);
             self.policy.on_evict(b);
+            self.version += 1;
         }
     }
 
@@ -279,13 +308,15 @@ impl BlockManager {
         victims
     }
 
-    /// Ask the policy which of `candidates` to prefetch next.
-    pub fn prefetch_pick(
-        &mut self,
-        candidates: &[BlockId],
-        profile: &RefProfile,
-    ) -> Option<BlockId> {
-        self.policy.prefetch_pick(candidates, profile)
+    /// Would [`proactive_sweep`](Self::proactive_sweep) drop nothing right
+    /// now? Asks the policy without dropping anything: the oracle for the
+    /// simulator's skipped sweeps.
+    #[cfg(debug_assertions)]
+    pub(crate) fn check_sweep_idle(&mut self, profile: &RefProfile) -> bool {
+        let candidates = self.evictable();
+        self.policy
+            .proactive_victims(&candidates, profile)
+            .is_empty()
     }
 
     /// Full prefetch-preference ranking; see
@@ -468,5 +499,45 @@ mod tests {
         assert!((bm.free_frac() - 0.75).abs() < 1e-9);
         let zero = BlockManager::new(0.0, Box::new(NoCache));
         assert_eq!(zero.free_frac(), 0.0);
+    }
+
+    #[test]
+    fn version_moves_on_every_mutator_and_not_on_reads() {
+        let mut bm = BlockManager::new(100.0, Box::new(FifoTest));
+        let p = RefProfile::default();
+        let mut last = bm.version();
+        let mut moved = |bm: &BlockManager, what: &str| {
+            assert!(bm.version() > last, "{what} did not bump the version");
+            last = bm.version();
+        };
+        bm.try_insert(blk(0, 0), 60.0, 0, &p);
+        moved(&bm, "insert");
+        assert!(bm.access(blk(0, 0), 1));
+        moved(&bm, "access");
+        bm.pin(blk(0, 0));
+        moved(&bm, "pin");
+        bm.unpin(blk(0, 0));
+        moved(&bm, "unpin");
+        // Needs room: evicts blk(0,0) on the way in.
+        bm.try_insert(blk(0, 1), 60.0, 0, &p);
+        moved(&bm, "evict + insert");
+        assert!(bm.invalidate(blk(0, 1)));
+        moved(&bm, "invalidate");
+        bm.try_insert(blk(0, 2), 10.0, 0, &p);
+        moved(&bm, "insert");
+        assert_eq!(bm.crash_clear(), vec![blk(0, 2)]);
+        moved(&bm, "crash clear");
+
+        // Reads and no-op calls leave it alone.
+        let v = bm.version();
+        let _ = (bm.contains(blk(0, 0)), bm.free_mb(), bm.free_frac());
+        let _ = (bm.used_mb(), bm.num_resident(), bm.resident_blocks());
+        assert!(!bm.access(blk(0, 0), 2)); // miss
+        bm.pin(blk(0, 0)); // not resident
+        bm.unpin(blk(0, 0)); // not pinned
+        assert!(!bm.invalidate(blk(0, 0)));
+        assert!(bm.crash_clear().is_empty());
+        assert!(bm.proactive_sweep(&p).is_empty());
+        assert_eq!(bm.version(), v);
     }
 }

@@ -33,12 +33,46 @@ pub struct RefProfile {
     counts: Vec<u32>,
     /// Lowest incomplete stage id — MRD's "currently executing stage"
     /// cursor under FIFO order.
-    pub frontier: u32,
+    frontier: u32,
     /// Current priority value `pv_i` per stage (Eq. 6), indexed by stage.
-    pub pv: Vec<u64>,
+    pv: Vec<u64>,
+    /// Bumped whenever anything a policy can read changes.
+    version: u64,
 }
 
 impl RefProfile {
+    /// An empty profile carrying the given per-stage priority values.
+    pub fn with_pv(pv: Vec<u64>) -> Self {
+        Self {
+            pv,
+            ..Self::default()
+        }
+    }
+
+    /// Monotone version: equal versions mean every lookup answers the
+    /// same.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// Set stage `s`'s priority value, bumping the version only when the
+    /// value changes.
+    pub fn set_pv(&mut self, s: StageId, pv: u64) {
+        let slot = &mut self.pv[s.index()];
+        if *slot != pv {
+            *slot = pv;
+            self.version += 1;
+        }
+    }
+
+    /// Move MRD's FIFO frontier, bumping the version only when it moves.
+    pub fn set_frontier(&mut self, frontier: u32) {
+        if self.frontier != frontier {
+            self.frontier = frontier;
+            self.version += 1;
+        }
+    }
+
     /// Flat index of `b`, or `None` for blocks outside the profiled DAG
     /// (possible before the first `rebuild`, or for foreign test blocks) —
     /// those have no recorded uses by definition.
@@ -112,6 +146,7 @@ impl RefProfile {
             .find(|s| !stage_done(*s))
             .map(|s| s.0)
             .unwrap_or(dag.num_stages() as u32);
+        self.version += 1;
     }
 
     /// LRC's reference count: remaining unfinished reads.
@@ -150,6 +185,7 @@ impl RefProfile {
             let v = &mut self.uses[i];
             if let Some(pos) = v.iter().position(|r| r.stage == stage) {
                 v.swap_remove(pos);
+                self.version += 1;
             }
         }
     }
@@ -161,6 +197,7 @@ impl RefProfile {
     pub fn add_use(&mut self, b: BlockId, stage: StageId) {
         if let Some(i) = self.idx(b) {
             self.uses[i].push(StageRef { stage });
+            self.version += 1;
         }
     }
 
@@ -186,12 +223,44 @@ mod tests {
     fn profile_at_start() -> (dagon_dag::JobDag, RefProfile) {
         let dag = fig1();
         let tracker = PriorityTracker::from_dag(&dag);
-        let mut p = RefProfile {
-            pv: dag.stage_ids().map(|s| tracker.pv(s)).collect(),
-            ..Default::default()
-        };
+        let mut p = RefProfile::with_pv(dag.stage_ids().map(|s| tracker.pv(s)).collect());
         p.rebuild(&dag, &|_, _| false, &|_| false);
         (dag, p)
+    }
+
+    #[test]
+    fn version_moves_only_on_changes() {
+        let (dag, mut p) = profile_at_start();
+        let v0 = p.version();
+        p.set_pv(StageId(1), p.pv[1]);
+        p.set_frontier(p.frontier);
+        assert_eq!(p.version(), v0, "same-value writes must not bump");
+        let _ = (
+            p.lrp_priority(BlockId::new(RddId(0), 0)),
+            p.is_live(BlockId::new(RddId(0), 0)),
+        );
+        assert_eq!(p.version(), v0, "lookups must not bump");
+
+        p.set_pv(StageId(1), p.pv[1] + 1);
+        let v1 = p.version();
+        assert!(v1 > v0, "set_pv with a new value");
+        p.set_frontier(p.frontier + 1);
+        let v2 = p.version();
+        assert!(v2 > v1, "set_frontier with a new value");
+
+        let a0 = BlockId::new(RddId(0), 0);
+        p.remove_use(a0, StageId(0));
+        let v3 = p.version();
+        assert!(v3 > v2, "remove_use");
+        p.remove_use(a0, StageId(0)); // nothing left to remove
+        assert_eq!(p.version(), v3);
+        p.add_use(a0, StageId(0));
+        let v4 = p.version();
+        assert!(v4 > v3, "add_use");
+        p.add_use(BlockId::new(RddId(9), 0), StageId(0)); // outside the DAG
+        assert_eq!(p.version(), v4);
+        p.rebuild(&dag, &|_, _| false, &|_| false);
+        assert!(p.version() > v4, "rebuild");
     }
 
     #[test]

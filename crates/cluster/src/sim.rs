@@ -67,6 +67,8 @@ struct RunningAttempt {
 // lint: incremental(cview, mutators = [handle, launch, do_schedule, teardown_attempt, complete_stage, fail_attempt, requeue_task, exec_crash, exec_restart, resubmit_task, with_jobs, admit_job, reject_job], via = [apply, init_ready_list, set_stage_schedulable, compact_free_execs], oracle = check_consistency)
 // lint: incremental(data, mutators = [launch, finish_task, complete_stage, proactive_sweeps, prefetch_arrive, exec_crash, block_loss, requeue_task, resubmit_task, reject_job], via = [add_disk, add_cached, remove_cached, remove_disk, on_pending_removed, on_pending_inserted, release_stage], oracle = check_inv_consistency)
 // lint: incremental(jobs, mutators = [with_jobs, run, job_arrival, admit_job, reject_job, complete_stage, resubmit_task, launch, teardown_attempt], via = [on_arrival, admit_queued, on_stage_complete, on_stage_reopened, on_cores_consumed, on_cores_released], oracle = check_consistency)
+// lint: incremental(sweep_key, mutators = [proactive_sweeps], init = [new], oracle = check_sweep_idle)
+// lint: incremental(prefetch_key, mutators = [prefetch_scan], init = [new], oracle = check_prefetch_idle)
 pub struct Simulation {
     dag: JobDag,
     cfg: ClusterConfig,
@@ -107,6 +109,18 @@ pub struct Simulation {
     // lint: allow(hash-ordered): membership-only, never iterated
     spec_launched: HashSet<TaskId>,
     prefetch_inflight: Vec<Option<(BlockId, f64)>>,
+    /// Per executor, `(bms[i].version(), profile.version())` after its
+    /// last proactive sweep. While both still match, a sweep would drop
+    /// nothing (the policies' per-block filters left no victim behind),
+    /// so it is skipped.
+    sweep_key: Vec<Option<(u64, u64)>>,
+    /// Per executor, `(bms[i].version(), profile.version(),
+    /// data.generation())` after a prefetch evaluation that started
+    /// nothing; `None` after one that started a transfer, so the slot's
+    /// later arrival, staleness or crash-clear always re-evaluates. While
+    /// it matches, free space and the node ranking are unchanged, so the
+    /// evaluation would start nothing again and is skipped.
+    prefetch_key: Vec<Option<(u64, u64, u64)>>,
     // lint: allow(hash-ordered): membership-only, never iterated
     prefetched: Vec<HashSet<BlockId>>,
     completed_count: usize,
@@ -219,8 +233,7 @@ impl Simulation {
             .collect();
         let stage_durations = vec![Vec::new(); dag.num_stages()];
         let tracker = PriorityTracker::from_dag(&dag);
-        let mut profile = RefProfile::default();
-        profile.pv = dag.stage_ids().map(|s| tracker.pv(s)).collect();
+        let mut profile = RefProfile::with_pv(dag.stage_ids().map(|s| tracker.pv(s)).collect());
         profile.rebuild(&dag, &|_, _| false, &|_| false);
         let metrics = Metrics::new(dag.num_stages(), n_exec, cfg.trace_executors);
         let data = LocalityIndex::new(&dag, &topo, data, &task_views);
@@ -267,6 +280,8 @@ impl Simulation {
             // lint: allow(hash-ordered): membership-only, never iterated
             spec_launched: HashSet::new(),
             prefetch_inflight: vec![None; n_exec],
+            sweep_key: vec![None; n_exec],
+            prefetch_key: vec![None; n_exec],
             // lint: allow(hash-ordered): membership-only, never iterated
             prefetched: vec![HashSet::new(); n_exec],
             completed_count: 0,
@@ -1084,15 +1099,28 @@ impl Simulation {
         match sched.stage_priorities() {
             Some(pvs) => {
                 for (s, pv) in pvs {
-                    self.profile.pv[s.index()] = pv;
+                    self.profile.set_pv(s, pv);
                 }
             }
             None => {
                 for s in self.dag.stage_ids() {
-                    self.profile.pv[s.index()] = self.tracker.pv(s);
+                    self.profile.set_pv(s, self.tracker.pv(s));
                 }
             }
         }
+    }
+
+    /// Re-derive MRD's FIFO frontier — the lowest incomplete stage id —
+    /// into the master profile after stages complete, are rejected or
+    /// reopen.
+    fn sync_frontier(&mut self) {
+        let frontier = self
+            .dag
+            .stage_ids()
+            .find(|x| !self.stages[x.index()].completed)
+            .map(|x| x.0)
+            .unwrap_or(self.dag.num_stages() as u32);
+        self.profile.set_frontier(frontier);
     }
 
     fn teardown_attempt(&mut self, task: TaskId, ra: &RunningAttempt, exec: ExecId) {
@@ -1134,13 +1162,7 @@ impl Simulation {
         // a completed stage, and a lineage resubmission rebuilds them from
         // the pending-set inserts key.
         self.data.release_stage(s.index());
-        // Advance the FIFO frontier for MRD.
-        self.profile.frontier = self
-            .dag
-            .stage_ids()
-            .find(|x| !self.stages[x.index()].completed)
-            .map(|x| x.0)
-            .unwrap_or(self.dag.num_stages() as u32);
+        self.sync_frontier();
         sched.on_stage_complete(s, self.now);
         // Children whose parents are now all complete become ready. (The
         // completed-guard matters only under lineage recovery: a child may
@@ -1260,12 +1282,7 @@ impl Simulation {
                 }
             }
         }
-        self.profile.frontier = self
-            .dag
-            .stage_ids()
-            .find(|x| !self.stages[x.index()].completed)
-            .map(|x| x.0)
-            .unwrap_or(self.dag.num_stages() as u32);
+        self.sync_frontier();
         self.schedule_departure_successors(job);
     }
 
@@ -1283,9 +1300,21 @@ impl Simulation {
     // Caching machinery
     // ------------------------------------------------------------------
 
+    /// Run each executor's proactive eviction pass, skipping executors
+    /// whose `sweep_key` shows nothing changed since their last sweep.
     fn proactive_sweeps(&mut self) {
+        let profile_v = self.profile.version();
         for i in 0..self.bms.len() {
+            if self.sweep_key[i] == Some((self.bms[i].version(), profile_v)) {
+                #[cfg(debug_assertions)]
+                {
+                    let idle = self.bms[i].check_sweep_idle(&self.profile);
+                    debug_assert!(idle, "skipped proactive sweep on exec {i} would evict");
+                }
+                continue;
+            }
             let victims = self.bms[i].proactive_sweep(&self.profile);
+            self.sweep_key[i] = Some((self.bms[i].version(), profile_v));
             self.metrics.cache.proactive_evictions += victims.len() as u64;
             for v in victims {
                 self.data.remove_cached(v, ExecId(i as u32));
@@ -1298,6 +1327,22 @@ impl Simulation {
                 }
             }
         }
+    }
+
+    /// The first block of the node ranking `order` that fits executor
+    /// `i`'s free cache space: the block a prefetch evaluation starts.
+    fn prefetch_fit(&self, i: usize, order: &[BlockId]) -> Option<BlockId> {
+        let free = self.bms[i].free_mb();
+        order
+            .iter()
+            .copied()
+            .find(|b| self.dag.rdd(b.rdd).block_mb <= free)
+    }
+
+    /// Oracle for a skipped prefetch evaluation: with executor `i`'s
+    /// node ranking `order` recomputed, it would still start nothing.
+    fn check_prefetch_idle(&self, i: usize, order: &[BlockId]) -> bool {
+        self.prefetch_fit(i, order).is_none()
     }
 
     fn prefetch_scan(&mut self) {
@@ -1315,10 +1360,13 @@ impl Simulation {
         // their own free cache space. The first ranked block that fits is
         // exactly `prefetch_pick` over the fitting candidates (the
         // `CachePolicy::prefetch_order` contract). Executor ids are
-        // node-consecutive, so a single "current node" marker suffices.
+        // node-consecutive, so a single "current node" marker suffices;
+        // a node whose executors are all skipped is never ranked.
         let mut order = std::mem::take(&mut self.prefetch_buf);
         let mut node_buf = std::mem::take(&mut self.prefetch_node_buf);
         let mut cur_node = usize::MAX;
+        let profile_v = self.profile.version();
+        let gen = self.data.generation();
         for i in 0..self.bms.len() {
             if !self.faults.usable_idx(i) {
                 continue; // dead/blacklisted executors don't prefetch
@@ -1327,6 +1375,12 @@ impl Simulation {
                 continue;
             }
             if self.bms[i].free_frac() < threshold {
+                continue;
+            }
+            let key = (self.bms[i].version(), profile_v, gen);
+            let unchanged = self.prefetch_key[i] == Some(key);
+            // Debug builds rank and check the skipped executors too.
+            if unchanged && !cfg!(debug_assertions) {
                 continue;
             }
             let exec = ExecId(i as u32);
@@ -1348,23 +1402,29 @@ impl Simulation {
                 }
                 self.bms[i].prefetch_order(&node_buf, &self.profile, &mut order);
             }
-            let free = self.bms[i].free_mb();
-            if let Some(&b) = order
-                .iter()
-                .find(|&&b| self.dag.rdd(b.rdd).block_mb <= free)
-            {
-                let mb = self.dag.rdd(b.rdd).block_mb;
-                self.prefetch_inflight[i] = Some((b, mb));
-                self.metrics.cache.prefetches += 1;
-                let dt = self
-                    .cfg
-                    .cost
-                    .read_ms(mb, ReadTier::NodeDisk)
-                    .round()
-                    .max(1.0) as SimTime;
-                self.queue
-                    .push(self.now + dt, Event::PrefetchArrive { block: b, exec });
+            if unchanged {
+                debug_assert!(
+                    self.check_prefetch_idle(i, &order),
+                    "skipped prefetch evaluation on exec {i} would start a transfer"
+                );
+                continue;
             }
+            let Some(b) = self.prefetch_fit(i, &order) else {
+                self.prefetch_key[i] = Some(key);
+                continue;
+            };
+            let mb = self.dag.rdd(b.rdd).block_mb;
+            self.prefetch_inflight[i] = Some((b, mb));
+            self.prefetch_key[i] = None;
+            self.metrics.cache.prefetches += 1;
+            let dt = self
+                .cfg
+                .cost
+                .read_ms(mb, ReadTier::NodeDisk)
+                .round()
+                .max(1.0) as SimTime;
+            self.queue
+                .push(self.now + dt, Event::PrefetchArrive { block: b, exec });
         }
         self.prefetch_buf = order;
         self.prefetch_node_buf = node_buf;
@@ -1819,12 +1879,7 @@ impl Simulation {
                 sync_ready(&mut self.cview, &self.stages, c.index());
             }
             // The FIFO frontier (MRD's cursor) may move backwards.
-            self.profile.frontier = self
-                .dag
-                .stage_ids()
-                .find(|x| !self.stages[x.index()].completed)
-                .map(|x| x.0)
-                .unwrap_or(self.dag.num_stages() as u32);
+            self.sync_frontier();
         }
         let had_pending = !self.stages[si].pending.is_empty();
         let inserted = self.stages[si].pending.insert(k);

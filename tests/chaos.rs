@@ -8,11 +8,11 @@
 //! `target/chaos-failures.txt` so CI can upload them as a replayable
 //! artifact.
 
-use dagon_cluster::{ClusterConfig, FaultKind, FaultPlan, SimResult};
+use dagon_cluster::{ClusterConfig, ExecId, FaultKind, FaultPlan, SimResult};
 use dagon_core::experiments::ExpConfig;
 use dagon_core::{run_system, System};
 use dagon_dag::examples::tiny_chain;
-use dagon_dag::JobDag;
+use dagon_dag::{BlockId, DagBuilder, JobDag};
 use dagon_workloads::Workload;
 
 /// The fault seeds of the matrix. 3 seeds × 2 workloads × 4 systems = 24
@@ -195,7 +195,7 @@ fn crash_during_cached_stage_forces_lineage_recomputation() {
     cluster.faults = Some(FaultPlan::none().and(
         4500,
         FaultKind::ExecCrash {
-            exec: dagon_cluster::ExecId(0),
+            exec: ExecId(0),
             restart_after_ms: Some(2000),
         },
     ));
@@ -216,6 +216,78 @@ fn crash_during_cached_stage_forces_lineage_recomputation() {
         .per_stage
         .iter()
         .all(|s| s.completed_at.is_some()));
+}
+
+/// An executor with an empty cache crashes while its prefetch is in
+/// flight, then restarts. Nothing else changes in between, so its
+/// BlockManager, the reference profile and block residency are exactly as
+/// they were when the transfer started: only the cleared in-flight slot
+/// differs. The first tick after the restart must evaluate it again and
+/// restart the transfer. Pinned to the values from before prefetch
+/// evaluations could be skipped.
+#[test]
+fn empty_cache_crash_mid_prefetch_is_reevaluated_after_restart() {
+    // One node, three 1-core executors. `a` writes block X (cached, read
+    // later by `c`) and `b` keeps the job alive for 20 s; exec 2 runs
+    // nothing.
+    let mut b = DagBuilder::new("prefetch_crash");
+    let s1 = b.hdfs_rdd("s1", 1, 64.0);
+    let s2 = b.hdfs_rdd("s2", 1, 64.0);
+    let (_, x) = b
+        .stage("a")
+        .tasks(1)
+        .demand_cpus(1)
+        .cpu_ms(100)
+        .reads_narrow(s1)
+        .output_mb(64.0)
+        .cache_output()
+        .build();
+    let (_, y) = b
+        .stage("b")
+        .tasks(1)
+        .demand_cpus(1)
+        .cpu_ms(20_000)
+        .reads_narrow(s2)
+        .build();
+    let _ = b
+        .stage("c")
+        .tasks(1)
+        .demand_cpus(1)
+        .cpu_ms(100)
+        .reads_wide(x)
+        .reads_wide(y)
+        .build();
+    let dag = b.build().unwrap();
+    let mut cluster = ClusterConfig::tiny(1, 1);
+    cluster.execs_per_node = 3;
+    cluster.prefetch_free_frac = Some(0.05);
+    // X's only cached copy (on exec 1, which ran `a`) is lost at t=1000,
+    // so every executor starts prefetching it from disk on that tick
+    // (533 ms transfers). Exec 2 dies at t=1101 and is back at t=1102.
+    cluster.faults = Some(
+        FaultPlan::none()
+            .and(
+                1000,
+                FaultKind::BlockLoss {
+                    block: BlockId::new(x, 0),
+                    exec: ExecId(1),
+                },
+            )
+            .and(
+                1101,
+                FaultKind::ExecCrash {
+                    exec: ExecId(2),
+                    restart_after_ms: Some(1),
+                },
+            ),
+    );
+    let res = run_system(&dag, &cluster, &System::dagon()).result;
+    let c = &res.metrics.cache;
+    assert_eq!(res.metrics.faults.exec_crashes, 1);
+    assert_eq!(c.lost, 1);
+    // Three transfers at t=1000, and exec 2's restarted one at t=1200.
+    assert_eq!((c.prefetches, c.insertions), (4, 4));
+    assert_eq!((res.jct, res.fingerprint()), (21166, 10199300658708757701));
 }
 
 /// Mixed fault kinds in one plan: crashes, cached-block losses and flaky
