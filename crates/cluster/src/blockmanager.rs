@@ -2,11 +2,11 @@
 //! [`CachePolicy`] (LRU / LRC / MRD / LRP live in `dagon-cache`).
 //!
 //! BlockManagers track *capacity and policy state* only; block residency
-//! itself lives in the [`crate::locality_index::LocalityIndex`]-owned
-//! `DataMap`. The simulator routes every admit/evict through the index's
-//! mutators (never the `DataMap` directly), which is what lets the index
-//! maintain its derived state — locality memos and the inverted
-//! pending-work counts placement gates on — from the same delta stream.
+//! itself lives in the [`crate::locality_index::LocalityIndex`]'s
+//! residency bitsets. The simulator routes every admit/evict through the
+//! index's mutators, which is what lets the index maintain its derived
+//! state — locality memos and the inverted pending-work counts placement
+//! gates on — from the same delta stream.
 
 use std::collections::BTreeMap;
 

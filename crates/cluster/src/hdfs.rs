@@ -4,6 +4,16 @@
 //! shuffle/output tracker (stage outputs land on the producing node's disk)
 //! and the BlockManagerMaster's location registry (which executors cache
 //! which blocks).
+//!
+//! In the simulator a `DataMap` is the *placement input*: [`place_sources`]
+//! decides where source replicas land, and
+//! [`crate::locality_index::LocalityIndex::new`] reads that placement once.
+//! From then on the index's residency bitsets are the only record, and
+//! every change goes through the index's mutators. Tests keep a `DataMap`
+//! as an independent shadow registry, fed the same mutations, to
+//! cross-check the index by brute force.
+//!
+//! [`place_sources`]: DataMap::place_sources
 
 // NodeId/replica mints from `num_nodes()`: bounded by cluster size.
 #![allow(clippy::cast_possible_truncation)]
@@ -21,8 +31,9 @@ use crate::topology::{ExecId, NodeId, Topology};
 #[derive(Clone, Debug, Default)]
 pub struct DataMap {
     /// Disk replicas. A block gains disk residency at HDFS placement time
-    /// (sources) or when its producing task finishes (outputs). Never
-    /// shrinks: disk capacity isn't modelled.
+    /// (sources) or when its producing task finishes (outputs), and loses
+    /// it only through [`DataMap::remove_disk`] (an executor crash taking
+    /// its output files): disk capacity isn't modelled.
     on_disk: BTreeMap<BlockId, Vec<NodeId>>,
     /// Executors currently caching each block.
     cached: BTreeMap<BlockId, Vec<ExecId>>,

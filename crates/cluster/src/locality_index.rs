@@ -24,27 +24,38 @@
 //!   pending-set version, claimed count), so Spark's
 //!   `computeValidLocalityLevels` runs once per stage per scheduling round
 //!   instead of once per placement probe;
-//! * an **inverted pending-work index**: for every (stage, sub-ANY
+//! * an **inverted pending-work index**: for every (live stage, sub-ANY
 //!   locality level, executor), the number of *pending* tasks that would
 //!   run at exactly that level there, plus a strict variant counting only
-//!   tasks whose best-anywhere level *is* that level. Maintained eagerly —
-//!   the simulator mirrors every pending-set pop/insert via
+//!   tasks whose best-anywhere level *is* that level. A stage is *live*
+//!   exactly while it sits on the view's ready list (the simulator flips
+//!   it through [`set_stage_live`](LocalityIndex::set_stage_live) from the
+//!   one place that maintains that list): activation inserts the stage's
+//!   authoritative pending tasks, deactivation clears its counts and frees
+//!   its scan and contribution memos. Within a live stage the index is
+//!   maintained eagerly — the simulator mirrors every pending-set
+//!   pop/insert via
 //!   [`on_pending_removed`](LocalityIndex::on_pending_removed) /
 //!   [`on_pending_inserted`](LocalityIndex::on_pending_inserted), and the
-//!   residency mutators diff the affected readers' levels across the one
-//!   rack a single-block flip can re-level. Placement consults the counts
-//!   ([`pending_level_count`](LocalityIndex::pending_level_count),
+//!   residency mutators diff the affected *live* readers' levels across
+//!   the one rack a single-block flip can re-level. Placement consults the
+//!   counts ([`pending_level_count`](LocalityIndex::pending_level_count),
 //!   [`pending_strict_count`](LocalityIndex::pending_strict_count)) to
 //!   skip probing executors with provably no work at a level; the counts
 //!   are claims-blind, which keeps the gate *conservative and exact* —
-//!   see `DESIGN.md` §14 for the order-preservation argument.
+//!   see `DESIGN.md` §14 for the order-preservation argument and §18 for
+//!   why indexing only live stages is schedule-neutral.
 //!
-//! The index owns the [`DataMap`] and mirrors every mutation
-//! ([`add_disk`](LocalityIndex::add_disk),
+//! Residency itself lives only in the bitsets: the index is built from a
+//! [`DataMap`] placement and from then on every change arrives through
+//! its four mutators ([`add_disk`](LocalityIndex::add_disk),
+//! [`remove_disk`](LocalityIndex::remove_disk),
 //! [`add_cached`](LocalityIndex::add_cached),
-//! [`remove_cached`](LocalityIndex::remove_cached)), so it can never drift
-//! from the authoritative registry; a property test cross-checks it
-//! against brute-force recomputation under random mutation sequences.
+//! [`remove_cached`](LocalityIndex::remove_cached)); membership reads
+//! ([`on_disk_at`](LocalityIndex::on_disk_at),
+//! [`is_cached_in`](LocalityIndex::is_cached_in), …) are bit tests. The
+//! unit tests and property tests cross-check it against a shadow
+//! `DataMap` fed the same mutations.
 
 // Packed u8 rack codes and u32 flat ids: counts are bounded by cluster
 // size (execs, nodes, racks) and per-RDD block counts, all far below the
@@ -82,8 +93,9 @@ pub struct IndexStats {
     pub score_cache_invalidations: u64,
     /// Inverted-index gates that answered "no work here" (probe skipped).
     pub inv_index_hits: u64,
-    /// Incremental inverted-index maintenance operations (pending-set
-    /// mirror events plus per-reader residency diffs).
+    /// Incremental inverted-index maintenance operations: pending-set
+    /// mirror events and per-reader residency diffs on live stages, plus
+    /// one per stage liveness flip.
     pub inv_index_updates: u64,
     /// From-scratch inverted-index builds. Must stay 1 (the initial build
     /// in [`LocalityIndex::new`]), like `ready_list_rebuilds`.
@@ -168,7 +180,8 @@ fn contrib_sub(cnt: &mut [u32; 4], mut mask: u8) {
 /// moves exactly the re-leveled pending readers' bits between the level
 /// rows of exactly the affected executors — the same single-rack diff
 /// that maintains the inverted counts). Only a pending *insertion*
-/// (failure recovery) resets it, via the [`PendingSet::inserts`] key.
+/// (failure recovery) resets it, via the [`PendingSet::inserts`] key,
+/// and the stage leaving the ready list frees it.
 /// The strict variant's best-anywhere filter reads the live `inv_best`
 /// instead of a value captured at examination time, so it never
 /// staleness-drifts. Invariant (debug-asserted on every bit-served
@@ -192,24 +205,23 @@ struct StageScan {
     words: usize,
 }
 
-// lint: incremental(data, mutators = [add_disk, add_cached, remove_cached, remove_disk], init = [new], via = [add_disk, add_cached, remove_cached, remove_disk], pairs = [inv_capture, inv_commit], oracle = check_inv_consistency)
 // lint: incremental(cached_bits, mutators = [cached_row_mut])
 // lint: incremental(disk_bits, mutators = [disk_row_mut])
 // lint: incremental(gen, mutators = [bump])
-// lint: incremental(inv_cnt, mutators = [inv_insert_task, inv_remove_task, inv_commit], oracle = check_inv_consistency)
-// lint: incremental(inv_scnt, mutators = [inv_insert_task, inv_remove_task, inv_commit], oracle = check_inv_consistency)
-// lint: incremental(inv_pending, mutators = [inv_insert_task, inv_remove_task])
-// lint: incremental(inv_pending_len, mutators = [inv_insert_task, inv_remove_task])
+// lint: incremental(live, mutators = [set_stage_live], oracle = check_live_set)
+// lint: incremental(inv_cnt, mutators = [inv_insert_task, inv_remove_task, inv_commit, set_stage_live], oracle = check_inv_consistency)
+// lint: incremental(inv_scnt, mutators = [inv_insert_task, inv_remove_task, inv_commit, set_stage_live], oracle = check_inv_consistency)
+// lint: incremental(inv_pending, mutators = [inv_insert_task, inv_remove_task, set_stage_live])
+// lint: incremental(inv_pending_len, mutators = [inv_insert_task, inv_remove_task, set_stage_live])
 // lint: incremental(inv_best, mutators = [inv_insert_task, inv_commit])
-// lint: incremental(inv_best_any, mutators = [inv_insert_task, inv_remove_task, inv_commit])
+// lint: incremental(inv_best_any, mutators = [inv_insert_task, inv_remove_task, inv_commit, set_stage_live])
 // lint: incremental(inv_rack_best, mutators = [inv_insert_task, inv_commit])
 // lint: incremental(readers)
 // lint: incremental(memo, mutators = [on_pending_inserted, task_locality, task_best_level, valid_levels, scan_first])
-// lint: incremental(contrib_memo, mutators = [inv_commit, on_pending_removed, on_pending_inserted, release_stage, valid_levels])
-// lint: incremental(scan_memo, mutators = [inv_commit, release_stage, scan_first])
+// lint: incremental(contrib_memo, mutators = [inv_commit, on_pending_removed, on_pending_inserted, set_stage_live, valid_levels])
+// lint: incremental(scan_memo, mutators = [inv_commit, set_stage_live, scan_first])
 // lint: hotpath(bump, inv_capture, inv_commit, inv_insert_task, inv_remove_task, pending_level_count, pending_strict_count, scan_first)
 pub struct LocalityIndex {
-    data: DataMap,
     /// Flat block id = `rdd_base[rdd] + partition`.
     rdd_base: Vec<u32>,
     exec_words: usize,
@@ -247,6 +259,9 @@ pub struct LocalityIndex {
     score_misses: Cell<u64>,
     score_invalidations: Cell<u64>,
     // ---- Inverted pending-work index (see module docs) ----
+    /// Per stage: is it indexed? Exactly the stages on the view's ready
+    /// list; every other stage has an empty mirror and zero counts.
+    live: Vec<bool>,
     /// `inv_cnt[stage][level × num_execs + exec]` for the three sub-ANY
     /// levels: pending tasks at exactly `level` on `exec`. The ANY count
     /// is derived (`pending_len − Σ sub-ANY counts at the executor`).
@@ -255,7 +270,8 @@ pub struct LocalityIndex {
     /// the level — the strict probe's candidate set. The strict ANY count
     /// is [`Self::inv_best_any`] (best-ANY tasks sit at ANY everywhere).
     inv_scnt: Vec<Vec<u32>>,
-    /// Mirror of each stage's authoritative `PendingSet` membership.
+    /// Mirror of each live stage's authoritative `PendingSet` membership
+    /// (all clear for a non-live stage).
     inv_pending: Vec<Vec<bool>>,
     inv_pending_len: Vec<u32>,
     /// Pending tasks per stage whose best level is ANY.
@@ -346,8 +362,19 @@ fn clear_bit(row: &mut [u64], i: u32) {
 
 impl LocalityIndex {
     /// Build the index over an initial placement. `task_views` supplies
-    /// each task's locality blocks (narrow inputs).
-    pub fn new(dag: &JobDag, topo: &Topology, data: DataMap, task_views: &[Vec<TaskView>]) -> Self {
+    /// each task's locality blocks (narrow inputs); `live[s]` says whether
+    /// stage `s` starts on the ready list, in which case every one of its
+    /// tasks is indexed as pending (each stage starts with a full pending
+    /// set). The placement is read once: from here on residency changes
+    /// arrive through the mutators.
+    pub fn new(
+        dag: &JobDag,
+        topo: &Topology,
+        data: &DataMap,
+        task_views: &[Vec<TaskView>],
+        live: &[bool],
+    ) -> Self {
+        assert_eq!(live.len(), task_views.len(), "one live flag per stage");
         let mut rdd_base = Vec::with_capacity(dag.num_rdds());
         let mut n_blocks = 0u32;
         for r in dag.rdds() {
@@ -452,6 +479,7 @@ impl LocalityIndex {
             score_hits: Cell::new(0),
             score_misses: Cell::new(0),
             score_invalidations: Cell::new(0),
+            live: live.to_vec(),
             inv_cnt: vec![vec![0; 3 * ne]; n_stages],
             inv_scnt: vec![vec![0; 3 * ne]; n_stages],
             inv_pending: task_views.iter().map(|pt| vec![false; pt.len()]).collect(),
@@ -471,7 +499,6 @@ impl LocalityIndex {
             inv_news_scratch: Vec::new(),
             inv_tmp_scratch: Vec::new(),
             inv_pairs_scratch: Vec::new(),
-            data: DataMap::default(),
         };
         // Ingest the initial placement (no generation bumps needed: the
         // memos are all empty).
@@ -486,7 +513,6 @@ impl LocalityIndex {
                 }
             }
         }
-        idx.data = data;
         idx.inv_rebuild();
         idx
     }
@@ -524,7 +550,7 @@ impl LocalityIndex {
     }
 
     // ------------------------------------------------------------------
-    // Mutations (mirrored into the owned DataMap)
+    // Residency mutations
     // ------------------------------------------------------------------
 
     /// Record a block written to a node's disk (task output / spill).
@@ -537,7 +563,6 @@ impl LocalityIndex {
             self.bump(bi);
             self.inv_commit(bi, rack);
         }
-        self.data.add_disk(b, node);
     }
 
     /// Record a cache insertion.
@@ -550,7 +575,6 @@ impl LocalityIndex {
             self.bump(bi);
             self.inv_commit(bi, rack);
         }
-        self.data.add_cached(b, exec);
     }
 
     /// Record a cache eviction.
@@ -563,7 +587,6 @@ impl LocalityIndex {
             self.bump(bi);
             self.inv_commit(bi, rack);
         }
-        self.data.remove_cached(b, exec);
     }
 
     /// Remove a node's disk replica (executor crash losing local output
@@ -578,7 +601,6 @@ impl LocalityIndex {
             self.bump(bi);
             self.inv_commit(bi, rack);
         }
-        self.data.remove_disk(b, node);
     }
 
     // ------------------------------------------------------------------
@@ -748,7 +770,8 @@ impl LocalityIndex {
     /// readers and their current levels across rack `rack`'s executors —
     /// the only executors a single-block, single-rack residency flip can
     /// re-level (every level test in `block_level` resolves within the
-    /// executor's own rack).
+    /// executor's own rack). Readers in non-live stages have a clear
+    /// mirror bit, so they are skipped here and never re-leveled.
     // lint: allow(panic-surface): reader (stage, task) pairs were minted from task_blocks; all rows sized at build
     fn inv_capture(&mut self, bi: usize, rack: usize) {
         let mut readers = std::mem::take(&mut self.inv_readers_scratch);
@@ -914,14 +937,18 @@ impl LocalityIndex {
         self.inv_tmp_scratch = tmp;
     }
 
-    /// From-scratch build with every task pending — the simulator's
-    /// initial state (each `StageRuntime` starts with `PendingSet::full`,
-    /// the contract `sim.rs` documents). Runs exactly once, from [`new`].
+    /// From-scratch build of the initially live stages with every task
+    /// pending — the simulator's initial state (each `StageRuntime` starts
+    /// with `PendingSet::full`, the contract `sim.rs` documents). Runs
+    /// exactly once, from [`new`].
     ///
     /// [`new`]: LocalityIndex::new
     fn inv_rebuild(&mut self) {
         self.inv_rebuilds.set(self.inv_rebuilds.get() + 1);
         for s in 0..self.task_blocks.len() {
+            if !self.live[s] {
+                continue;
+            }
             debug_assert_eq!(self.inv_pending_len[s], 0, "rebuild over a live index");
             for k in 0..self.task_blocks[s].len() {
                 self.inv_insert_task(s, k);
@@ -929,12 +956,45 @@ impl LocalityIndex {
         }
     }
 
+    /// Put stage `s` on or off the index: `live` must be the stage's
+    /// ready-list membership, and `pending` its authoritative pending set.
+    /// Activation inserts every pending task; deactivation clears the
+    /// stage's counts and mirror and frees its scan and contribution
+    /// memos (the candidate bitsets hold `executors × 4 levels × tasks`
+    /// bits, real memory at 2000 executors). A later activation rebuilds
+    /// all of it from `pending`, so nothing derived for a non-live stage
+    /// needs maintaining. A call that does not change liveness is a no-op.
+    pub fn set_stage_live(&mut self, s: usize, live: bool, pending: &PendingSet) {
+        if self.live[s] == live {
+            return;
+        }
+        self.live[s] = live;
+        self.inv_updates.set(self.inv_updates.get() + 1);
+        if live {
+            for k in pending.iter() {
+                self.inv_insert_task(s, k as usize);
+            }
+        } else {
+            self.inv_cnt[s].fill(0);
+            self.inv_scnt[s].fill(0);
+            self.inv_pending[s].fill(false);
+            self.inv_pending_len[s] = 0;
+            self.inv_best_any[s] = 0;
+            self.scan_memo.get_mut()[s] = StageScan::default();
+            self.contrib_memo.get_mut()[s] = ContribState::default();
+        }
+    }
+
     /// The simulator popped task `k` of stage `s` from its pending set
     /// (non-speculative launch). Mirrors the membership change; the
     /// folded contribution counts subtract exactly the mask that was
     /// folded for the task (stale-if-dirty, which is precisely what
-    /// `cnt` contains — the dirty re-fold skips popped tasks).
+    /// `cnt` contains — the dirty re-fold skips popped tasks). A no-op
+    /// for a non-live stage, whose activation reads `pending` afresh.
     pub fn on_pending_removed(&mut self, s: usize, k: u32) {
+        if !self.live[s] {
+            return;
+        }
         self.inv_updates.set(self.inv_updates.get() + 1);
         self.inv_remove_task(s, k as usize);
         let cm = &mut self.contrib_memo.get_mut()[s];
@@ -944,8 +1004,12 @@ impl LocalityIndex {
     }
 
     /// The simulator re-inserted task `k` of stage `s` into its pending
-    /// set (failure recovery / stage resubmission).
+    /// set (failure recovery / stage resubmission). A no-op for a
+    /// non-live stage, like [`Self::on_pending_removed`].
     pub fn on_pending_inserted(&mut self, s: usize, k: u32) {
+        if !self.live[s] {
+            return;
+        }
         self.inv_updates.set(self.inv_updates.get() + 1);
         self.inv_insert_task(s, k as usize);
         if self.contrib_memo.get_mut()[s].init {
@@ -958,20 +1022,6 @@ impl LocalityIndex {
         }
     }
 
-    /// Drop stage `s`'s persistent scan (capacity included). Called by
-    /// the simulator when the stage completes: the candidate bitsets
-    /// otherwise hold `executors × 4 levels × tasks` bits for the stage's
-    /// lifetime, which at 2000 executors × 16k tasks is real memory. A
-    /// later lineage resubmission rebuilds them through the inserts-key
-    /// reset.
-    pub fn release_stage(&mut self, s: usize) {
-        self.scan_memo.borrow_mut()[s] = StageScan::default();
-        // Contribution counts drain to zero with pending; free the
-        // per-task vectors too. A lineage resubmission re-folds from
-        // scratch through the `init` flag.
-        self.contrib_memo.get_mut()[s] = ContribState::default();
-    }
-
     /// Pending tasks of stage `s` at exactly `level` on executor `e`.
     ///
     /// Claims-blind by design, which keeps the zero-test *conservative
@@ -980,8 +1030,10 @@ impl LocalityIndex {
     /// [`scan_first`](Self::scan_first) would return `None` — and a
     /// non-zero takes the real claims-aware probe, identical to the
     /// ungated walk. First-match order is therefore preserved bit-for-bit.
+    /// Defined for live stages only.
     // lint: allow(panic-surface): stage/executor ids are dense and bound the per-stage count rows by construction
     pub fn pending_level_count(&self, s: usize, e: ExecId, level: Locality) -> u32 {
+        debug_assert!(self.live[s], "count probe on non-live stage {s}");
         let ne = self.num_execs as usize;
         let li = level.index();
         let c = if li < L_ANY as usize {
@@ -1003,9 +1055,11 @@ impl LocalityIndex {
     /// whose best level anywhere is also `level` — the strict probe's
     /// candidate count (`best ≥ level` with `level(e) = level` collapses
     /// to `best = level`, since `best ≤ level(e)` always). Claims-blind
-    /// like [`pending_level_count`](Self::pending_level_count).
+    /// like [`pending_level_count`](Self::pending_level_count), and defined
+    /// for live stages only.
     // lint: allow(panic-surface): stage/executor ids are dense and bound the per-stage count rows by construction
     pub fn pending_strict_count(&self, s: usize, e: ExecId, level: Locality) -> u32 {
+        debug_assert!(self.live[s], "strict count probe on non-live stage {s}");
         let li = level.index();
         let c = if li < L_ANY as usize {
             self.inv_scnt[s][li * self.num_execs as usize + e.index()]
@@ -1022,11 +1076,22 @@ impl LocalityIndex {
     /// From-scratch oracle for the inverted index on stage `s`: rebuild
     /// every count from the raw residency bitsets and the authoritative
     /// `pending` set, and compare against the incrementally maintained
-    /// state (including the mirror itself). Debug-assert fodder for the
-    /// simulator's scheduling loop and the differential proptests.
+    /// state (including the mirror itself). A non-live stage must hold
+    /// nothing: an empty mirror, zero counts and freed memos.
+    /// Debug-assert fodder for the simulator's scheduling loop and the
+    /// differential proptests.
     pub fn check_inv_consistency(&self, s: usize, pending: &PendingSet) -> bool {
         let ne = self.num_execs as usize;
         let nr = self.rack_exec_range.len();
+        if !self.live[s] {
+            return self.inv_pending_len[s] == 0
+                && self.inv_best_any[s] == 0
+                && !self.inv_pending[s].contains(&true)
+                && self.inv_cnt[s].iter().all(|&c| c == 0)
+                && self.inv_scnt[s].iter().all(|&c| c == 0)
+                && self.scan_memo.borrow()[s].key.is_none()
+                && !self.contrib_memo.borrow()[s].init;
+        }
         if pending.len() as u32 != self.inv_pending_len[s] {
             return false;
         }
@@ -1099,6 +1164,18 @@ impl LocalityIndex {
         cnt == self.inv_cnt[s] && scnt == self.inv_scnt[s] && best_any == self.inv_best_any[s]
     }
 
+    /// Is the live set exactly `ready` (the view's ready list, any order)?
+    /// The simulator debug-asserts it at every scheduling opportunity.
+    pub fn check_live_set(&self, ready: &[u32]) -> bool {
+        ready.len() == self.live.iter().filter(|&&l| l).count()
+            && ready.iter().all(|&s| self.live[s as usize])
+    }
+
+    /// Does `node` hold a disk replica of the block?
+    pub fn on_disk_at(&self, b: BlockId, node: NodeId) -> bool {
+        get_bit(self.disk_row(self.flat_id(b) as usize), node.0)
+    }
+
     /// Does any disk replica of the block exist?
     pub fn on_disk_anywhere(&self, b: BlockId) -> bool {
         self.disk_row(self.flat_id(b) as usize)
@@ -1115,12 +1192,6 @@ impl LocalityIndex {
     /// scheduler's assignment batch went stale mid-application.
     pub fn generation(&self) -> u64 {
         self.global_gen
-    }
-
-    /// The authoritative location registry (reads that need replica lists
-    /// rather than membership tests).
-    pub fn data(&self) -> &DataMap {
-        &self.data
     }
 
     pub fn is_cached_in(&self, b: BlockId, exec: ExecId) -> bool {
@@ -1264,7 +1335,7 @@ impl LocalityIndex {
     /// incrementally from the pending-churn and residency-flip delta
     /// streams (see `ContribState`); claims are *subtracted per
     /// query*, so the picks of an assignment batch never invalidate
-    /// anything.
+    /// anything. Defined for live stages only.
     pub fn valid_levels(
         &self,
         s: usize,
@@ -1272,6 +1343,7 @@ impl LocalityIndex {
         claimed_bits: &[u64],
         claimed_count: u32,
     ) -> ([Locality; 4], usize) {
+        debug_assert!(self.live[s], "valid levels of non-live stage {s}");
         let mut cms = self.contrib_memo.borrow_mut();
         let cm = &mut cms[s];
         if !cm.init {
@@ -1363,7 +1435,7 @@ impl LocalityIndex {
     /// feeds every executor's candidate bitsets — see `StageScan`).
     /// Launch pops are masked by the pending bitmap, residency flips
     /// patch the affected bits in place, and only a pending re-insertion
-    /// (failure recovery) forces a rescan.
+    /// (failure recovery) forces a rescan. Defined for live stages only.
     // lint: allow(panic-surface): bitset words and memo rows are sized to the stage's task universe at fill time
     pub fn scan_first(
         &self,
@@ -1374,6 +1446,7 @@ impl LocalityIndex {
         pending: &PendingSet,
         claimed_bits: &[u64],
     ) -> Option<u32> {
+        debug_assert!(self.live[s], "placement probe on non-live stage {s}");
         self.queries.set(self.queries.get() + 1);
         let mut sms = self.scan_memo.borrow_mut();
         let sm = &mut sms[s];
@@ -1479,7 +1552,10 @@ mod tests {
     use super::*;
     use dagon_dag::{DagBuilder, RddId};
 
-    fn build() -> (dagon_dag::JobDag, Topology, LocalityIndex) {
+    /// One live 6-task stage over a 6-block source on 2 racks × 2 nodes ×
+    /// 2 executors, plus the placement as a shadow [`DataMap`] for the
+    /// brute-force oracles (tests feed it the same mutations).
+    fn build() -> (dagon_dag::JobDag, Topology, LocalityIndex, DataMap) {
         let mut b = DagBuilder::new("t");
         let src = b.hdfs_rdd("in", 6, 64.0);
         let _ = b
@@ -1497,8 +1573,8 @@ mod tests {
                 loc_blocks: vec![BlockId::new(RddId(0), k)],
             })
             .collect()];
-        let idx = LocalityIndex::new(&dag, &topo, data, &tv);
-        (dag, topo, idx)
+        let idx = LocalityIndex::new(&dag, &topo, &data, &tv, &[true]);
+        (dag, topo, idx, data)
     }
 
     /// Brute-force locality from the raw DataMap (the pre-index scan).
@@ -1532,7 +1608,7 @@ mod tests {
 
     #[test]
     fn matches_brute_force_after_mutations() {
-        let (_dag, topo, mut idx) = build();
+        let (_dag, topo, mut idx, mut data) = build();
         let b0 = BlockId::new(RddId(0), 0);
         let b3 = BlockId::new(RddId(0), 3);
         // Interleave queries (fills memos) with mutations (invalidates).
@@ -1540,15 +1616,19 @@ mod tests {
             let _ = idx.task_locality(0, 0, ExecId(e));
         }
         idx.add_cached(b0, ExecId(5));
+        data.add_cached(b0, ExecId(5));
         idx.add_cached(b3, ExecId(0));
+        data.add_cached(b3, ExecId(0));
         idx.add_disk(b3, NodeId(3));
+        data.add_disk(b3, NodeId(3));
         idx.remove_cached(b0, ExecId(5));
+        data.remove_cached(b0, ExecId(5));
         for k in 0..6u32 {
             let b = BlockId::new(RddId(0), k);
             for e in 0..8u32 {
                 assert_eq!(
                     idx.task_locality(0, k, ExecId(e)),
-                    brute_locality(idx.data(), &topo, b, ExecId(e)),
+                    brute_locality(&data, &topo, b, ExecId(e)),
                     "block {k} exec {e}"
                 );
             }
@@ -1557,7 +1637,7 @@ mod tests {
 
     #[test]
     fn generation_bumps_only_on_actual_change() {
-        let (_dag, _topo, mut idx) = build();
+        let (_dag, _topo, mut idx, _) = build();
         let b = BlockId::new(RddId(0), 1);
         let g0 = idx.generation();
         idx.add_cached(b, ExecId(2));
@@ -1575,21 +1655,24 @@ mod tests {
 
     #[test]
     fn remove_disk_invalidates_and_matches_brute_force() {
-        let (_dag, topo, mut idx) = build();
+        let (_dag, topo, mut idx, mut data) = build();
         let b2 = BlockId::new(RddId(0), 2);
         // Warm the memos.
         for e in 0..8u32 {
             let _ = idx.task_locality(0, 2, ExecId(e));
         }
         let g0 = idx.generation();
-        let node = *idx.data().disk_nodes(b2).first().unwrap();
+        let node = *data.disk_nodes(b2).first().unwrap();
+        assert!(idx.on_disk_at(b2, node));
         idx.remove_disk(b2, node);
+        data.remove_disk(b2, node);
         assert!(idx.generation() > g0);
+        assert!(!idx.on_disk_at(b2, node));
         assert!(!idx.on_disk_anywhere(b2));
         for e in 0..8u32 {
             assert_eq!(
                 idx.task_locality(0, 2, ExecId(e)),
-                brute_locality(idx.data(), &topo, b2, ExecId(e)),
+                brute_locality(&data, &topo, b2, ExecId(e)),
                 "exec {e}"
             );
         }
@@ -1600,7 +1683,7 @@ mod tests {
 
     #[test]
     fn valid_levels_memo_tracks_pending_and_claims() {
-        let (_dag, _topo, mut idx) = build();
+        let (_dag, _topo, mut idx, _) = build();
         let mut pending = PendingSet::full(6);
         let (lv, n) = idx.valid_levels(0, &pending, &[], 0);
         assert!(n >= 2);
@@ -1629,7 +1712,7 @@ mod tests {
 
     #[test]
     fn scan_first_matches_sequential_scan() {
-        let (_dag, _topo, mut idx) = build();
+        let (_dag, _topo, mut idx, _) = build();
         idx.add_cached(BlockId::new(RddId(0), 2), ExecId(3));
         let pending = PendingSet::full(6);
         // Oracle: sequential first-match over the pending set.
@@ -1689,7 +1772,7 @@ mod tests {
 
     #[test]
     fn inv_counts_match_brute_force_through_history() {
-        let (_dag, _topo, mut idx) = build();
+        let (_dag, _topo, mut idx, _) = build();
         let mut pending = PendingSet::full(6);
         assert_eq!(idx.stats().inv_index_rebuilds, 1);
         assert!(idx.check_inv_consistency(0, &pending));
@@ -1742,7 +1825,7 @@ mod tests {
 
     #[test]
     fn rack_batched_levels_match_per_exec_recomputation() {
-        let (_dag, _topo, mut idx) = build();
+        let (_dag, _topo, mut idx, _) = build();
         idx.add_cached(BlockId::new(RddId(0), 1), ExecId(7));
         idx.add_disk(BlockId::new(RddId(0), 5), NodeId(2));
         let mut out = Vec::new();
@@ -1764,7 +1847,7 @@ mod tests {
 
     #[test]
     fn gate_zero_implies_probe_none() {
-        let (_dag, _topo, mut idx) = build();
+        let (_dag, _topo, mut idx, _) = build();
         let pending = PendingSet::full(6);
         idx.add_cached(BlockId::new(RddId(0), 3), ExecId(2));
         for e in 0..8u32 {
@@ -1789,7 +1872,7 @@ mod tests {
 
     #[test]
     fn oracle_detects_injected_drift() {
-        let (_dag, _topo, mut idx) = build();
+        let (_dag, _topo, mut idx, _) = build();
         let pending = PendingSet::full(6);
         assert!(idx.check_inv_consistency(0, &pending));
         let slot = idx.inv_cnt[0].iter().position(|&c| c > 0).unwrap();
@@ -1799,6 +1882,96 @@ mod tests {
         assert!(idx.check_inv_consistency(0, &pending));
         idx.inv_best_any[0] += 1; // lint: allow(mutation-escape): deliberate drift injection to prove the oracle trips
         assert!(!idx.check_inv_consistency(0, &pending));
+    }
+
+    /// Two stages over disjoint inputs: stage 0 (live) reads the source,
+    /// stage 1 (not yet live) reads stage 0's output partition-wise.
+    fn build_two() -> (LocalityIndex, RddId) {
+        let mut b = DagBuilder::new("t2");
+        let src = b.hdfs_rdd("in", 6, 64.0);
+        let (_, out) = b
+            .stage("a")
+            .tasks(6)
+            .demand_cpus(1)
+            .cpu_ms(100)
+            .reads_narrow(src)
+            .build();
+        let _ = b
+            .stage("b")
+            .tasks(6)
+            .demand_cpus(1)
+            .cpu_ms(100)
+            .reads_narrow(out)
+            .build();
+        let dag = b.build().unwrap();
+        let topo = Topology::build(&[2, 2], 2);
+        let data = DataMap::place_sources(&dag, &topo, 1, 7);
+        let tv: Vec<Vec<TaskView>> = [src, out]
+            .iter()
+            .map(|&r| {
+                (0..6)
+                    .map(|k| TaskView {
+                        loc_blocks: vec![BlockId::new(r, k)],
+                    })
+                    .collect()
+            })
+            .collect();
+        let idx = LocalityIndex::new(&dag, &topo, &data, &tv, &[true, false]);
+        (idx, out)
+    }
+
+    #[test]
+    fn flips_on_non_live_readers_cost_no_index_updates() {
+        let (mut idx, out) = build_two();
+        let pending1 = PendingSet::full(6);
+        assert!(idx.check_live_set(&[0]));
+        assert!(idx.check_inv_consistency(1, &pending1));
+        // Block 2 of stage 0's output is read only by stage 1's task 2,
+        // which is not live: the flips re-level nothing.
+        let b = BlockId::new(out, 2);
+        let u0 = idx.stats().inv_index_updates;
+        idx.add_disk(b, NodeId(1));
+        idx.add_cached(b, ExecId(4));
+        assert_eq!(idx.stats().inv_index_updates, u0);
+        assert!(idx.check_inv_consistency(1, &pending1));
+        // Once live, the same reader is re-leveled by the next flip.
+        idx.set_stage_live(1, true, &pending1);
+        assert!(idx.check_live_set(&[0, 1]));
+        assert!(idx.check_inv_consistency(1, &pending1));
+        let u1 = idx.stats().inv_index_updates;
+        idx.remove_cached(b, ExecId(4));
+        assert!(idx.stats().inv_index_updates > u1);
+        assert!(idx.check_inv_consistency(1, &pending1));
+    }
+
+    #[test]
+    fn reactivation_rebuilds_from_pending_and_matches_brute_force() {
+        let (_dag, _topo, mut idx, _) = build();
+        let mut pending = PendingSet::full(6);
+        // Warm both memos, then take the stage off the index.
+        let _ = idx.valid_levels(0, &pending, &[], 0);
+        let _ = idx.scan_first(0, ExecId(0), Locality::Node, false, &pending, &[]);
+        idx.set_stage_live(0, false, &pending);
+        assert!(idx.check_live_set(&[]));
+        assert!(idx.check_inv_consistency(0, &pending));
+        // Churn while off the index is not mirrored.
+        pending.remove(1);
+        idx.on_pending_removed(0, 1);
+        idx.add_cached(BlockId::new(RddId(0), 3), ExecId(6));
+        idx.remove_disk(BlockId::new(RddId(0), 4), NodeId(0));
+        assert!(idx.check_inv_consistency(0, &pending));
+        // Re-activation reads the authoritative pending set.
+        idx.set_stage_live(0, true, &pending);
+        assert!(idx.check_live_set(&[0]));
+        assert!(idx.check_inv_consistency(0, &pending));
+        for e in 0..8u32 {
+            for level in Locality::ALL {
+                let (cnt, strict) = brute_counts(&idx, 0, &pending, ExecId(e), level);
+                assert_eq!(idx.pending_level_count(0, ExecId(e), level), cnt);
+                assert_eq!(idx.pending_strict_count(0, ExecId(e), level), strict);
+            }
+        }
+        assert_eq!(idx.stats().inv_index_rebuilds, 1);
     }
 
     #[test]

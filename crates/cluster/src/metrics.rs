@@ -239,7 +239,8 @@ pub struct SchedulerStats {
     /// (stage, level, executor)" — placement probes skipped outright.
     pub inv_index_hits: u64,
     /// Incremental inverted-index maintenance operations (pending-set
-    /// mirror events plus per-reader residency diffs).
+    /// mirror events and per-reader residency diffs on live stages, plus
+    /// one per stage liveness flip).
     pub inv_index_updates: u64,
     /// From-scratch inverted-index builds (O(1) per run: once at startup,
     /// like `ready_list_rebuilds`).

@@ -13,11 +13,13 @@
 //! detect staleness without hashing the contents.
 //!
 //! The inverted pending-work index keeps its own membership mirror of this
-//! set (per-stage `inv_pending` in [`crate::locality_index`]): every
-//! simulator transition that pops or re-inserts a member must be paired
-//! with `on_pending_removed` / `on_pending_inserted` on the index, and the
-//! mirror is cross-checked against this set by `check_inv_consistency` at
-//! every scheduling opportunity in debug builds. `insert`/`remove` return
+//! set for every stage on the ready list (per-stage `inv_pending` in
+//! [`crate::locality_index`]): every simulator transition that pops or
+//! re-inserts a member must be paired with `on_pending_removed` /
+//! `on_pending_inserted` on the index (a no-op for a stage off the ready
+//! list, whose activation copies this set afresh), and the mirror is
+//! cross-checked against this set by `check_inv_consistency` at every
+//! scheduling opportunity in debug builds. `insert`/`remove` return
 //! whether membership actually changed precisely so those call sites can
 //! mirror conditionally and never double-count.
 

@@ -44,12 +44,20 @@ const SIM_TIME_LIMIT: SimTime = 48 * 3600 * 1000;
 type TaskInputs = Arc<[(BlockId, f64)]>;
 
 /// Re-derive stage `si`'s schedulability predicate and push it into the
-/// view's incremental ready list. A free function over disjoint borrows so
-/// call sites inside loops that also borrow other `Simulation` fields
-/// (e.g. `self.dag.children(..)`) compile.
-fn sync_ready(cview: &mut ClusterView, stages: &[StageRuntime], si: usize) {
+/// view's incremental ready list and the locality index's live set — the
+/// one place either changes, so the two stay equal. A free function over
+/// disjoint borrows so call sites inside loops that also borrow other
+/// `Simulation` fields (e.g. `self.dag.children(..)`) compile.
+fn sync_ready(
+    cview: &mut ClusterView,
+    index: &mut LocalityIndex,
+    stages: &[StageRuntime],
+    si: usize,
+) {
     let st = &stages[si];
-    cview.set_stage_schedulable(si, st.ready && !st.completed && !st.pending.is_empty());
+    let on = st.ready && !st.completed && !st.pending.is_empty();
+    cview.set_stage_schedulable(si, on);
+    index.set_stage_live(si, on, &st.pending);
 }
 
 struct RunningAttempt {
@@ -65,7 +73,7 @@ struct RunningAttempt {
 
 /// One simulation run in progress.
 // lint: incremental(cview, mutators = [handle, launch, do_schedule, teardown_attempt, complete_stage, fail_attempt, requeue_task, exec_crash, exec_restart, resubmit_task, with_jobs, admit_job, reject_job], via = [apply, init_ready_list, set_stage_schedulable, compact_free_execs], oracle = check_consistency)
-// lint: incremental(data, mutators = [launch, finish_task, complete_stage, proactive_sweeps, prefetch_arrive, exec_crash, block_loss, requeue_task, resubmit_task, reject_job], via = [add_disk, add_cached, remove_cached, remove_disk, on_pending_removed, on_pending_inserted, release_stage], oracle = check_inv_consistency)
+// lint: incremental(data, mutators = [with_jobs, handle, launch, finish_task, complete_stage, proactive_sweeps, prefetch_arrive, exec_crash, block_loss, requeue_task, resubmit_task, admit_job, reject_job], via = [add_disk, add_cached, remove_cached, remove_disk, on_pending_removed, on_pending_inserted], oracle = check_inv_consistency)
 // lint: incremental(jobs, mutators = [with_jobs, run, job_arrival, admit_job, reject_job, complete_stage, resubmit_task, launch, teardown_attempt], via = [on_arrival, admit_queued, on_stage_complete, on_stage_reopened, on_cores_consumed, on_cores_released], oracle = check_consistency)
 // lint: incremental(sweep_key, mutators = [proactive_sweeps], init = [new], oracle = check_sweep_idle)
 // lint: incremental(prefetch_key, mutators = [prefetch_scan], init = [new], oracle = check_prefetch_idle)
@@ -78,8 +86,9 @@ pub struct Simulation {
     cview: ClusterView,
     exec_busy_cores: Vec<u32>,
     bms: Vec<BlockManager>,
-    /// Block residency: the incremental locality index owning the
-    /// authoritative [`DataMap`].
+    /// Block residency: the incremental locality index, built from the
+    /// initial [`DataMap`] placement and the only residency record after
+    /// that.
     data: LocalityIndex,
     disk_by_node: Vec<Vec<BlockId>>,
     stages: Vec<StageRuntime>,
@@ -236,7 +245,11 @@ impl Simulation {
         let mut profile = RefProfile::with_pv(dag.stage_ids().map(|s| tracker.pv(s)).collect());
         profile.rebuild(&dag, &|_, _| false, &|_| false);
         let metrics = Metrics::new(dag.num_stages(), n_exec, cfg.trace_executors);
-        let data = LocalityIndex::new(&dag, &topo, data, &task_views);
+        let live: Vec<bool> = stages
+            .iter()
+            .map(|s| s.ready && !s.completed && !s.pending.is_empty())
+            .collect();
+        let data = LocalityIndex::new(&dag, &topo, &data, &task_views, &live);
         let attempt_seq: Vec<Vec<u32>> = dag
             .stages()
             .iter()
@@ -251,11 +264,7 @@ impl Simulation {
         let narrow_mb = crate::view::narrow_input_table(&dag);
         let slot_memo = SlotMemo::new(dag.num_stages());
         let mut cview = ClusterView::new(n_exec, cfg.exec_capacity);
-        cview.init_ready_list(
-            stages
-                .iter()
-                .map(|s| s.ready && !s.completed && !s.pending.is_empty()),
-        );
+        cview.init_ready_list(live);
         Self {
             dag,
             cview,
@@ -333,7 +342,7 @@ impl Simulation {
             );
             if self.stages[si].ready {
                 self.stages[si].ready = false;
-                sync_ready(&mut self.cview, &self.stages, si);
+                sync_ready(&mut self.cview, &mut self.data, &self.stages, si);
             }
         }
         // Open-loop arrivals become first-class events up front (job-id
@@ -533,7 +542,7 @@ impl Simulation {
                         .all(|p| self.stages[p.index()].completed)
                 {
                     self.stages[stage.index()].ready = true;
-                    sync_ready(&mut self.cview, &self.stages, stage.index());
+                    sync_ready(&mut self.cview, &mut self.data, &self.stages, stage.index());
                     if self.trace_on {
                         let num_tasks = self.dag.stage(stage).num_tasks;
                         self.trace(TraceEvent::StageReady { stage, num_tasks });
@@ -602,16 +611,18 @@ impl Simulation {
             self.cview.check_ready_consistency(&self.stages),
             "incremental ready list drifted from stage-table scan"
         );
+        debug_assert!(
+            self.data.check_live_set(self.cview.ready_stages()),
+            "locality index live set drifted from the ready list"
+        );
         #[cfg(debug_assertions)]
-        for &s in self.cview.ready_stages() {
+        for (s, st) in self.stages.iter().enumerate() {
             // The inverted pending-work index vs a from-scratch rebuild,
             // at every scheduling opportunity (the PR-1/3/6 oracle
-            // discipline). Ready stages only: an unready stage's drift
-            // would be caught at its first ready round, and the proptests
-            // cover all-stage checks.
+            // discipline). Every stage: a live one must match the
+            // rebuild, a non-live one must hold nothing.
             debug_assert!(
-                self.data
-                    .check_inv_consistency(s as usize, &self.stages[s as usize].pending),
+                self.data.check_inv_consistency(s, &st.pending),
                 "inverted locality index drifted from from-scratch rebuild (stage {s})"
             );
         }
@@ -945,7 +956,12 @@ impl Simulation {
             srt.pending.remove(a.task_index);
             srt.running += 1;
             self.data.on_pending_removed(a.stage.index(), a.task_index);
-            sync_ready(&mut self.cview, &self.stages, a.stage.index());
+            sync_ready(
+                &mut self.cview,
+                &mut self.data,
+                &self.stages,
+                a.stage.index(),
+            );
             let work = task_work;
             self.tracker.on_task_launched(task, work);
             sched.on_task_launched(task, work, self.now);
@@ -1038,7 +1054,7 @@ impl Simulation {
         // Materialize the output block.
         let node = self.topo.node_of_exec(exec);
         let out = BlockId::new(self.dag.stage(task.stage).output, task.index);
-        if !self.data.data().disk_nodes(out).contains(&node) {
+        if !self.data.on_disk_at(out, node) {
             self.data.add_disk(out, node);
             self.disk_by_node[node.index()].push(out);
             if self.faults.enabled() {
@@ -1155,13 +1171,9 @@ impl Simulation {
             self.trace(TraceEvent::StageComplete { stage: s });
         }
         self.stages[s.index()].completed = true;
-        sync_ready(&mut self.cview, &self.stages, s.index());
+        sync_ready(&mut self.cview, &mut self.data, &self.stages, s.index());
         self.metrics.per_stage[s.index()].completed_at = Some(self.now);
         self.completed_count += 1;
-        // Free the stage's persistent placement-scan memos: nothing probes
-        // a completed stage, and a lineage resubmission rebuilds them from
-        // the pending-set inserts key.
-        self.data.release_stage(s.index());
         self.sync_frontier();
         sched.on_stage_complete(s, self.now);
         // Children whose parents are now all complete become ready. (The
@@ -1184,7 +1196,7 @@ impl Simulation {
                     );
                 } else {
                     self.stages[c.index()].ready = true;
-                    sync_ready(&mut self.cview, &self.stages, c.index());
+                    sync_ready(&mut self.cview, &mut self.data, &self.stages, c.index());
                     sched.on_stage_ready(c, self.now);
                     if self.trace_on {
                         newly_ready.push(c);
@@ -1249,7 +1261,7 @@ impl Simulation {
                 .all(|p| self.stages[p.index()].completed)
             {
                 self.stages[si].ready = true;
-                sync_ready(&mut self.cview, &self.stages, si);
+                sync_ready(&mut self.cview, &mut self.data, &self.stages, si);
                 if self.trace_on {
                     let num_tasks = self.dag.stage(s).num_tasks;
                     self.trace(TraceEvent::StageReady {
@@ -1273,9 +1285,8 @@ impl Simulation {
             let si = s.index();
             debug_assert!(!self.stages[si].ready && !self.stages[si].completed);
             self.stages[si].completed = true;
-            sync_ready(&mut self.cview, &self.stages, si);
+            sync_ready(&mut self.cview, &mut self.data, &self.stages, si);
             self.completed_count += 1;
-            self.data.release_stage(si);
             for k in 0..self.dag.stage(s).num_tasks {
                 for &(b, _) in self.task_inputs[si][k as usize].iter() {
                     self.profile.remove_use(b, s);
@@ -1673,7 +1684,12 @@ impl Simulation {
         srt.running = srt.running.saturating_sub(1);
         self.data
             .on_pending_inserted(task.stage.index(), task.index);
-        sync_ready(&mut self.cview, &self.stages, task.stage.index());
+        sync_ready(
+            &mut self.cview,
+            &mut self.data,
+            &self.stages,
+            task.stage.index(),
+        );
         self.spec_launched.remove(&task);
         let work = self.dag.stage(task.stage).task_work(task.index);
         self.tracker.on_task_requeued(task, work);
@@ -1876,7 +1892,7 @@ impl Simulation {
                 if !crt.completed {
                     crt.ready = false;
                 }
-                sync_ready(&mut self.cview, &self.stages, c.index());
+                sync_ready(&mut self.cview, &mut self.data, &self.stages, c.index());
             }
             // The FIFO frontier (MRD's cursor) may move backwards.
             self.sync_frontier();
@@ -1904,7 +1920,7 @@ impl Simulation {
             .iter()
             .all(|p| self.stages[p.index()].completed);
         self.stages[si].ready = ready;
-        sync_ready(&mut self.cview, &self.stages, si);
+        sync_ready(&mut self.cview, &mut self.data, &self.stages, si);
         if ready && (was_completed || !had_pending) {
             // Re-entering the schedulable set: reset delay-scheduling
             // clocks.

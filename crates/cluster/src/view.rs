@@ -676,6 +676,7 @@ impl<'a> SimView<'a> {
     /// First unclaimed pending task of `s` achieving exactly `level` on
     /// `e` whose best achievable level anywhere is no better than `level`
     /// — i.e. a task that launching here does not rob of a better home.
+    /// Defined for stages on the ready list.
     pub fn pending_with_locality_strict(
         &self,
         s: StageId,
@@ -694,6 +695,7 @@ impl<'a> SimView<'a> {
     }
 
     /// First unclaimed pending task of `s` achieving exactly `level` on `e`.
+    /// Defined for stages on the ready list.
     pub fn pending_with_locality(
         &self,
         s: StageId,
@@ -716,14 +718,16 @@ impl<'a> SimView<'a> {
     /// probe can only find a subset of these tasks, so `false` proves
     /// [`pending_with_locality`](Self::pending_with_locality) would
     /// return `None`, while `true` routes to the real probe. Gating on
-    /// this is therefore schedule-neutral (DESIGN.md §14).
+    /// this is therefore schedule-neutral (DESIGN.md §14). Defined for
+    /// stages on the ready list: the index holds nothing for any other
+    /// stage (DESIGN.md §18).
     pub fn has_pending_at(&self, s: StageId, e: ExecId, level: Locality) -> bool {
         self.index.pending_level_count(s.index(), e, level) > 0
     }
 
     /// The strict-probe twin of [`has_pending_at`](Self::has_pending_at):
     /// any pending task at exactly `level` on `e` whose best level
-    /// anywhere is also `level`?
+    /// anywhere is also `level`? Defined for stages on the ready list.
     pub fn has_pending_strict_at(&self, s: StageId, e: ExecId, level: Locality) -> bool {
         self.index.pending_strict_count(s.index(), e, level) > 0
     }
@@ -735,7 +739,8 @@ impl<'a> SimView<'a> {
     /// subset of pending), so `count > claimed` is a proof; `false` means
     /// "can't tell" and the claims-aware probe must decide. This is what
     /// lets the pick loop's reject-and-park path (Alg. 2 line 9, which
-    /// discards the found task) skip the scan entirely.
+    /// discards the found task) skip the scan entirely. Defined for stages
+    /// on the ready list.
     pub fn has_unclaimed_pending_at(
         &self,
         s: StageId,
@@ -750,7 +755,7 @@ impl<'a> SimView<'a> {
     /// pending task on *some* executor — the "valid locality levels" of
     /// Alg. 2 / Spark's `computeValidLocalityLevels`. Always includes
     /// `Any` if any task is pending. Memoized per stage per round in the
-    /// [`LocalityIndex`].
+    /// [`LocalityIndex`]. Defined for stages on the ready list.
     pub fn valid_levels(&self, s: StageId, shadow: &ScheduleShadow) -> Vec<Locality> {
         let st = &self.stages[s.index()];
         let (levels, n) = self.index.valid_levels(
@@ -887,7 +892,7 @@ mod tests {
                 loc_blocks: vec![BlockId::new(RddId(0), k)],
             })
             .collect()];
-        let index = LocalityIndex::new(&dag, &topo, data, &tasks);
+        let index = LocalityIndex::new(&dag, &topo, &data, &tasks, &[true]);
         Fixture {
             metrics: Metrics::new(dag.num_stages(), 4, false),
             narrow_mb: narrow_input_table(&dag),

@@ -108,15 +108,27 @@ proptest! {
                 ],
             })
             .collect()];
-        let mut idx = LocalityIndex::new(&dag, &topo, data, &tv);
+        let mut idx = LocalityIndex::new(&dag, &topo, &data, &tv, &[true]);
+        // The index keeps residency only as bitsets; the oracle reads a
+        // shadow registry fed the same mutations.
+        let mut shadow = data;
         for &(op, part, e) in &ops {
             let block = BlockId::new(RddId(0), part);
             // Query first so mutations hit warm (stale) memos.
             let _ = idx.task_locality(0, part, ExecId(e));
             match op {
-                0 => idx.add_cached(block, ExecId(e)),
-                1 => idx.remove_cached(block, ExecId(e)),
-                _ => idx.add_disk(block, NodeId(e % 4)),
+                0 => {
+                    idx.add_cached(block, ExecId(e));
+                    shadow.add_cached(block, ExecId(e));
+                }
+                1 => {
+                    idx.remove_cached(block, ExecId(e));
+                    shadow.remove_cached(block, ExecId(e));
+                }
+                _ => {
+                    idx.add_disk(block, NodeId(e % 4));
+                    shadow.add_disk(block, NodeId(e % 4));
+                }
             }
         }
         for k in 0..24u32 {
@@ -125,7 +137,7 @@ proptest! {
                 let want = tv[0][k as usize]
                     .loc_blocks
                     .iter()
-                    .map(|&b| brute_locality(idx.data(), &topo, b, ExecId(e)))
+                    .map(|&b| brute_locality(&shadow, &topo, b, ExecId(e)))
                     .max()
                     .unwrap();
                 prop_assert_eq!(
