@@ -26,6 +26,9 @@
 //!                        counts; single-run walls drifted 119–198 ms
 //!                        across PRs 4–5)
 //! ```
+//!
+//! Every row reports the median (`wall_ms`) and the fastest
+//! (`wall_ms_min`) of its `samples` timed runs.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -39,7 +42,12 @@ use dagon_workloads::{Scale, Workload};
 
 struct Row {
     name: String,
+    /// Median wall time of the timed runs.
     wall_ms: f64,
+    /// Fastest timed run: the least noise-inflated estimate.
+    wall_ms_min: f64,
+    /// Number of timed runs behind `wall_ms` and `wall_ms_min`.
+    samples: usize,
     jct_ms: u64,
     /// Applied non-speculative launches: one per scheduling decision that
     /// made it into the simulated schedule.
@@ -108,6 +116,26 @@ fn sweep_config(p: &SweepPoint) -> ExpConfig {
     }
 }
 
+/// Time `samples` runs of `run` after the caller's warm-up, checking
+/// each run's jct against the warm-up's: `(median, min)` wall ms.
+fn time_runs<T>(
+    name: &str,
+    samples: usize,
+    warm_jct: u64,
+    mut run: impl FnMut() -> T,
+    jct_of: impl Fn(&T) -> u64,
+) -> (f64, f64) {
+    let mut times = Vec::with_capacity(samples);
+    for _ in 0..samples {
+        let t0 = Instant::now();
+        let out = run();
+        times.push(t0.elapsed().as_secs_f64() * 1e3);
+        assert_eq!(jct_of(&out), warm_jct, "nondeterministic run for {name}");
+    }
+    times.sort_by(|a, b| a.total_cmp(b));
+    (times[samples / 2], times[0])
+}
+
 fn measure(
     name: &str,
     dag: &dagon_dag::JobDag,
@@ -118,18 +146,13 @@ fn measure(
     // One warm-up, then the median of `samples` timed runs: enough to damp
     // scheduler noise without Criterion's multi-second budget.
     let warm = run_system(dag, &cfg.cluster, sys);
-    let mut times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        let out = run_system(dag, &cfg.cluster, sys);
-        times.push(t0.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(
-            out.result.jct, warm.result.jct,
-            "nondeterministic run for {name}"
-        );
-    }
-    times.sort_by(|a, b| a.total_cmp(b));
-    let wall_ms = times[samples / 2];
+    let (wall_ms, wall_ms_min) = time_runs(
+        name,
+        samples,
+        warm.result.jct,
+        || run_system(dag, &cfg.cluster, sys),
+        |out| out.result.jct,
+    );
     let decisions = warm
         .result
         .metrics
@@ -140,6 +163,8 @@ fn measure(
     Row {
         name: name.to_string(),
         wall_ms,
+        wall_ms_min,
+        samples,
         jct_ms: warm.result.jct,
         decisions,
         ns_per_decision: wall_ms * 1e6 / decisions.max(1) as f64,
@@ -174,18 +199,8 @@ fn measure_tenant(name: &str, samples: usize) -> Row {
         )
     };
     let warm = run();
-    let mut times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        let out = run();
-        times.push(t0.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(
-            out.result.jct, warm.result.jct,
-            "nondeterministic run for {name}"
-        );
-    }
-    times.sort_by(|a, b| a.total_cmp(b));
-    let wall_ms = times[samples / 2];
+    let (wall_ms, wall_ms_min) =
+        time_runs(name, samples, warm.result.jct, run, |out| out.result.jct);
     let decisions = warm
         .result
         .metrics
@@ -196,6 +211,8 @@ fn measure_tenant(name: &str, samples: usize) -> Row {
     Row {
         name: name.to_string(),
         wall_ms,
+        wall_ms_min,
+        samples,
         jct_ms: warm.result.jct,
         decisions,
         ns_per_decision: wall_ms * 1e6 / decisions.max(1) as f64,
@@ -310,7 +327,8 @@ fn main() {
         let s = &r.sched;
         let _ = write!(
             json,
-            "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"jct_ms\": {}, \
+            "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"wall_ms_min\": {:.3}, \
+             \"samples\": {}, \"jct_ms\": {}, \
              \"decisions\": {}, \"ns_per_decision\": {:.1}, \
              \"schedule_invocations\": {}, \"view_rebuilds\": {}, \
              \"view_deltas\": {}, \
@@ -328,6 +346,8 @@ fn main() {
              \"stage_resubmissions\": {}, \"task_failures\": {}",
             r.name,
             r.wall_ms,
+            r.wall_ms_min,
+            r.samples,
             r.jct_ms,
             r.decisions,
             r.ns_per_decision,

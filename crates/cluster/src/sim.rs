@@ -12,6 +12,7 @@
 #![allow(clippy::cast_possible_truncation)]
 
 use std::collections::{BTreeMap, HashSet}; // lint: allow(hash-ordered): HashSet used membership-only, see field docs
+use std::ops::Bound::{Excluded, Unbounded};
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -77,6 +78,7 @@ struct RunningAttempt {
 // lint: incremental(jobs, mutators = [with_jobs, run, job_arrival, admit_job, reject_job, complete_stage, resubmit_task, launch, teardown_attempt], via = [on_arrival, admit_queued, on_stage_complete, on_stage_reopened, on_cores_consumed, on_cores_released], oracle = check_consistency)
 // lint: incremental(sweep_key, mutators = [proactive_sweeps], init = [new], oracle = check_sweep_idle)
 // lint: incremental(prefetch_key, mutators = [prefetch_scan], init = [new], oracle = check_prefetch_idle)
+// lint: incremental(tick_dirty, mutators = [handle, launch, proactive_sweeps, resubmit_task], init = [new], oracle = check_quiet_tick)
 pub struct Simulation {
     dag: JobDag,
     cfg: ClusterConfig,
@@ -130,6 +132,16 @@ pub struct Simulation {
     /// it matches, free space and the node ranking are unchanged, so the
     /// evaluation would start nothing again and is skipped.
     prefetch_key: Vec<Option<(u64, u64, u64)>>,
+    /// Has anything a tick's cache work reads changed since the last
+    /// tick took this flag? Set by every non-`Tick` event, every launch,
+    /// every sweep that evicts and every lineage resubmission. A tick
+    /// that takes it clear skips `prefetch_scan` and `proactive_sweeps`:
+    /// every executor's `sweep_key`/`prefetch_key` still matches (or it
+    /// is prefetch-ineligible), so both would be no-ops (DESIGN.md §19).
+    tick_dirty: bool,
+    /// Ticks that skipped the cache work on a clear `tick_dirty`.
+    #[cfg_attr(not(test), allow(dead_code))] // read by the unit tests only
+    quiet_ticks: u64,
     // lint: allow(hash-ordered): membership-only, never iterated
     prefetched: Vec<HashSet<BlockId>>,
     completed_count: usize,
@@ -291,6 +303,8 @@ impl Simulation {
             prefetch_inflight: vec![None; n_exec],
             sweep_key: vec![None; n_exec],
             prefetch_key: vec![None; n_exec],
+            tick_dirty: true,
+            quiet_ticks: 0,
             // lint: allow(hash-ordered): membership-only, never iterated
             prefetched: vec![HashSet::new(); n_exec],
             completed_count: 0,
@@ -395,6 +409,45 @@ impl Simulation {
     /// Run to completion under `sched`. Panics if the configuration can
     /// never finish (a task demand no executor can satisfy).
     pub fn run(mut self, sched: &mut dyn Scheduler) -> SimResult {
+        self.run_events(sched);
+        let jct = self.now;
+        self.metrics.busy_cores.finish(jct);
+        self.metrics.running_tasks.finish(jct);
+        self.metrics.cache.resident_end = self.bms.iter().map(|bm| bm.num_resident() as u64).sum();
+        let is = self.data.stats();
+        self.metrics.sched.locality_queries = is.locality_queries;
+        self.metrics.sched.locality_recomputes = is.memo_recomputes;
+        self.metrics.sched.index_invalidations = is.invalidations;
+        self.metrics.sched.valid_level_rebuilds = is.valid_level_rebuilds;
+        self.metrics.sched.view_rebuilds = self.cview.rebuilds();
+        self.metrics.sched.view_deltas = self.cview.deltas_applied();
+        self.metrics.sched.score_cache_hits = is.score_cache_hits;
+        self.metrics.sched.score_cache_misses = is.score_cache_misses;
+        self.metrics.sched.score_cache_invalidations = is.score_cache_invalidations;
+        self.metrics.sched.slot_memo_hits = self.slot_memo.hits();
+        self.metrics.sched.slot_memo_misses = self.slot_memo.misses();
+        self.metrics.sched.ready_list_rebuilds = self.cview.ready_list_rebuilds();
+        self.metrics.sched.ect_heap_pops = self.cview.ect_heap_pops();
+        self.metrics.sched.ect_heap_stale = self.cview.ect_heap_stale();
+        self.metrics.sched.inv_index_hits = is.inv_index_hits;
+        self.metrics.sched.inv_index_updates = is.inv_index_updates;
+        self.metrics.sched.inv_index_rebuilds = is.inv_index_rebuilds;
+        SimResult {
+            jct,
+            metrics: self.metrics,
+            total_cores: self.cfg.total_cores(),
+            trace: self.sink.take_log(),
+            jobs: self
+                .jobs
+                .take()
+                .map(JobsRuntime::into_outcomes)
+                .unwrap_or_default(),
+        }
+    }
+
+    /// The whole event loop, from the initial stage and fault events until
+    /// the last stage completes at `self.now`.
+    fn run_events(&mut self, sched: &mut dyn Scheduler) {
         // Impossible-demand early diagnosis.
         for st in self.dag.stages() {
             assert!(
@@ -466,42 +519,12 @@ impl Simulation {
             }
             self.do_schedule(sched);
         }
-        let jct = self.now;
-        self.metrics.busy_cores.finish(jct);
-        self.metrics.running_tasks.finish(jct);
-        self.metrics.cache.resident_end = self.bms.iter().map(|bm| bm.num_resident() as u64).sum();
-        let is = self.data.stats();
-        self.metrics.sched.locality_queries = is.locality_queries;
-        self.metrics.sched.locality_recomputes = is.memo_recomputes;
-        self.metrics.sched.index_invalidations = is.invalidations;
-        self.metrics.sched.valid_level_rebuilds = is.valid_level_rebuilds;
-        self.metrics.sched.view_rebuilds = self.cview.rebuilds();
-        self.metrics.sched.view_deltas = self.cview.deltas_applied();
-        self.metrics.sched.score_cache_hits = is.score_cache_hits;
-        self.metrics.sched.score_cache_misses = is.score_cache_misses;
-        self.metrics.sched.score_cache_invalidations = is.score_cache_invalidations;
-        self.metrics.sched.slot_memo_hits = self.slot_memo.hits();
-        self.metrics.sched.slot_memo_misses = self.slot_memo.misses();
-        self.metrics.sched.ready_list_rebuilds = self.cview.ready_list_rebuilds();
-        self.metrics.sched.ect_heap_pops = self.cview.ect_heap_pops();
-        self.metrics.sched.ect_heap_stale = self.cview.ect_heap_stale();
-        self.metrics.sched.inv_index_hits = is.inv_index_hits;
-        self.metrics.sched.inv_index_updates = is.inv_index_updates;
-        self.metrics.sched.inv_index_rebuilds = is.inv_index_rebuilds;
-        SimResult {
-            jct,
-            metrics: self.metrics,
-            total_cores: self.cfg.total_cores(),
-            trace: self.sink.take_log(),
-            jobs: self
-                .jobs
-                .take()
-                .map(JobsRuntime::into_outcomes)
-                .unwrap_or_default(),
-        }
     }
 
     fn handle(&mut self, ev: Event, sched: &mut dyn Scheduler) {
+        if !matches!(ev, Event::Tick) {
+            self.tick_dirty = true;
+        }
         match ev {
             Event::TaskFinish {
                 task,
@@ -557,10 +580,21 @@ impl Simulation {
                     if self.cfg.speculation.is_some() {
                         self.speculation_check();
                     }
-                    if self.cfg.prefetch_free_frac.is_some() {
-                        self.prefetch_scan();
+                    // Taken only after speculation, so a copy launched
+                    // just now is still swept this tick.
+                    if std::mem::take(&mut self.tick_dirty) {
+                        if self.cfg.prefetch_free_frac.is_some() {
+                            self.prefetch_scan();
+                        }
+                        self.proactive_sweeps();
+                    } else {
+                        self.quiet_ticks += 1;
+                        #[cfg(debug_assertions)]
+                        {
+                            let quiet = self.check_quiet_tick();
+                            debug_assert!(quiet, "quiet tick skipped cache work that would act");
+                        }
                     }
-                    self.proactive_sweeps();
                     if self.cfg.trace_executors {
                         self.sample_exec_traces();
                     }
@@ -757,6 +791,7 @@ impl Simulation {
     }
 
     fn launch(&mut self, a: Assignment, speculative: bool, sched: &mut dyn Scheduler) {
+        self.tick_dirty = true;
         let task = TaskId::new(a.stage, a.task_index);
         let st = self.dag.stage(a.stage);
         let demand = st.demand;
@@ -994,7 +1029,9 @@ impl Simulation {
         let slot = &mut sm.finished_by_locality[ra.locality.index()];
         slot.0 += 1;
         slot.1 += dur;
-        self.stage_durations[task.stage.index()].push(dur);
+        // Kept sorted so `speculation_check` reads the median in place.
+        let durs = &mut self.stage_durations[task.stage.index()];
+        durs.insert(durs.partition_point(|&d| d <= dur), dur);
         if ra.speculative {
             self.metrics.speculative_won += 1;
         }
@@ -1327,6 +1364,9 @@ impl Simulation {
             let victims = self.bms[i].proactive_sweep(&self.profile);
             self.sweep_key[i] = Some((self.bms[i].version(), profile_v));
             self.metrics.cache.proactive_evictions += victims.len() as u64;
+            if !victims.is_empty() {
+                self.tick_dirty = true;
+            }
             for v in victims {
                 self.data.remove_cached(v, ExecId(i as u32));
                 self.prefetched[i].remove(&v);
@@ -1354,6 +1394,28 @@ impl Simulation {
     /// node ranking `order` recomputed, it would still start nothing.
     fn check_prefetch_idle(&self, i: usize, order: &[BlockId]) -> bool {
         self.prefetch_fit(i, order).is_none()
+    }
+
+    /// Oracle for a tick that took `tick_dirty` clear: every executor's
+    /// sweep would be skipped by its `sweep_key` and drop nothing, and its
+    /// prefetch evaluation would be skipped by eligibility or by its
+    /// `prefetch_key`.
+    #[cfg(debug_assertions)]
+    fn check_quiet_tick(&mut self) -> bool {
+        let profile_v = self.profile.version();
+        let gen = self.data.generation();
+        (0..self.bms.len()).all(|i| {
+            let bm_v = self.bms[i].version();
+            let prefetch_idle = self.cfg.prefetch_free_frac.is_none_or(|threshold| {
+                !self.faults.usable_idx(i)
+                    || self.prefetch_inflight[i].is_some()
+                    || self.bms[i].free_frac() < threshold
+                    || self.prefetch_key[i] == Some((bm_v, profile_v, gen))
+            });
+            self.sweep_key[i] == Some((bm_v, profile_v))
+                && self.bms[i].check_sweep_idle(&self.profile)
+                && prefetch_idle
+        })
     }
 
     fn prefetch_scan(&mut self) {
@@ -1477,7 +1539,19 @@ impl Simulation {
     fn speculation_check(&mut self) {
         let spec = self.cfg.speculation.unwrap();
         let mut to_launch: Vec<(TaskId, Assignment)> = Vec::new();
-        for s in self.dag.stage_ids() {
+        // `running` is keyed `(TaskId, attempt)` and `TaskId` orders
+        // stage-first, so the running stages come out in stage order by
+        // range jumps, each with its attempts in (task index, attempt)
+        // order. That order is canonical: the launches below consume
+        // resources and the RNG stream in it.
+        let mut next = self.running.keys().next().map(|(t, _)| t.stage);
+        while let Some(s) = next {
+            let last = (TaskId::new(s, u32::MAX), u32::MAX);
+            next = self
+                .running
+                .range((Excluded(last), Unbounded))
+                .next()
+                .map(|((t, _), _)| t.stage);
             let st = self.dag.stage(s);
             let srt = &self.stages[s.index()];
             if srt.completed || srt.running == 0 {
@@ -1491,23 +1565,14 @@ impl Simulation {
             if durs.is_empty() {
                 continue;
             }
-            let mut sorted = durs.clone();
-            sorted.sort_unstable();
-            let med = sorted[sorted.len() / 2] as f64;
+            debug_assert!(durs.is_sorted(), "stage {s} durations unsorted");
+            let med = durs[durs.len() / 2] as f64;
             let threshold = spec.multiplier * med;
-            // BTreeMap iteration is already key-ordered, but keep the
-            // explicit sort: the launch order below consumes resources and
-            // the RNG stream, and a canonical order must not depend on the
-            // container. Primaries are `!speculative` (attempt ids are not
-            // fixed under retries).
-            let mut candidates: Vec<(TaskId, &RunningAttempt)> = self
-                .running
-                .iter()
-                .filter(|((task, _), ra)| task.stage == s && !ra.speculative)
-                .map(|((task, _), ra)| (*task, ra))
-                .collect();
-            candidates.sort_by_key(|(t, _)| t.index);
-            for (task, ra) in candidates {
+            // Primaries are `!speculative` (attempt ids are not fixed
+            // under retries).
+            let attempts = self.running.range((TaskId::new(s, 0), 0)..=last);
+            for ((task, _), ra) in attempts.filter(|(_, ra)| !ra.speculative) {
+                let task = *task;
                 if self.spec_launched.contains(&task)
                     || self.task_done[s.index()][task.index as usize]
                 {
@@ -1865,6 +1930,9 @@ impl Simulation {
     fn resubmit_task(&mut self, ps: StageId, k: u32, sched: &mut dyn Scheduler) {
         let si = ps.index();
         debug_assert!(self.task_done[si][k as usize]);
+        // Reached from `drain_lost_pending` after a tick's own speculative
+        // launch evicted a lost block: the profile moves with no event.
+        self.tick_dirty = true;
         self.task_done[si][k as usize] = false;
         self.stages[si].finished -= 1;
         self.metrics.faults.tasks_recomputed += 1;
@@ -2072,6 +2140,25 @@ mod tests {
         let _ = b.stage("s").tasks(1).demand_cpus(64).cpu_ms(100).build();
         let dag = b.build().unwrap();
         let _ = run_tiny(dag, ClusterConfig::tiny(1, 4));
+    }
+
+    #[test]
+    fn ticks_after_no_state_change_skip_the_cache_work() {
+        // Minute-long tasks under 100 ms ticks: a few dozen events against
+        // ~900 ticks, so nearly every tick follows no state change.
+        let mut cfg = ClusterConfig::tiny(2, 2);
+        cfg.prefetch_free_frac = Some(0.05);
+        let mut sim = Simulation::new(tiny_chain(4, 60_000), cfg, || {
+            Box::new(AdmitAll(Vec::new()))
+        });
+        sim.run_events(&mut GreedyFifo);
+        let ticks = sim.now / sim.cfg.sched_tick_ms;
+        assert!(ticks > 800, "only {ticks} ticks");
+        assert!(
+            sim.quiet_ticks * 10 >= ticks * 9,
+            "{} of {ticks} ticks quiet",
+            sim.quiet_ticks
+        );
     }
 
     #[test]

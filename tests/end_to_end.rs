@@ -170,6 +170,65 @@ fn speculation_bounds_straggler_damage() {
     assert_eq!(winners, 18);
 }
 
+/// A speculative copy launched on a tick that follows no other state
+/// change still gets that tick's cache work (proactive sweep and LRP
+/// prefetch evaluation): the tick takes its change flag only after
+/// speculation. Pinned to the values from before quiet ticks skipped
+/// the cache work.
+#[test]
+fn speculative_launch_on_a_quiet_tick_keeps_its_cache_work() {
+    // One 8x straggler among 8 scan tasks; `refine` re-reads the cached
+    // input, so its blocks stay live for prefetch and die for the sweep.
+    let mut b = dagon_dag::DagBuilder::new("quiet_spec");
+    let src = b.hdfs_rdd_cached("in", 8, 64.0, true);
+    let (_, r) = b
+        .stage("scan")
+        .tasks(8)
+        .demand_cpus(1)
+        .cpu_ms(1000)
+        .skew(vec![1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 8.0])
+        .reads_narrow(src)
+        .cache_output()
+        .build();
+    let _ = b
+        .stage("refine")
+        .tasks(8)
+        .demand_cpus(1)
+        .cpu_ms(500)
+        .reads_narrow(src)
+        .reads_narrow(r)
+        .build();
+    let dag = b.build().unwrap();
+    let mut cluster = tiny_cluster();
+    cluster.prefetch_free_frac = Some(0.05);
+    cluster.speculation = Some(dagon_cluster::SpeculationConfig {
+        multiplier: 1.5,
+        quantile: 0.5,
+    });
+    let res = run_system(&dag, &cluster, &System::dagon()).result;
+    let runs = &res.metrics.task_runs;
+    let copies: Vec<u64> = runs
+        .iter()
+        .filter(|r| r.speculative)
+        .map(|r| r.start)
+        .collect();
+    assert!(!copies.is_empty(), "no speculative copy launched");
+    // No other attempt started or ended at a copy's launch: it came from
+    // the speculation check on an otherwise quiet tick.
+    for t in &copies {
+        assert!(
+            runs.iter()
+                .filter(|r| !r.speculative)
+                .all(|r| r.start != *t && r.end != *t),
+            "copy at {t} shares its tick with another attempt"
+        );
+    }
+    assert_eq!(copies, [2300, 8300]);
+    let c = &res.metrics.cache;
+    assert_eq!((c.prefetches, c.proactive_evictions), (5, 22));
+    assert_eq!((res.jct, res.fingerprint()), (8524, 6990099455423495628));
+}
+
 #[test]
 fn determinism_across_full_stack() {
     let cluster = tiny_cluster();
