@@ -335,7 +335,7 @@ fn main() {
              \"ready_list_rebuilds\": {}, \
              \"ect_heap_pops\": {}, \"ect_heap_stale\": {}, \
              \"batches_discarded\": {}, \"assignments_discarded\": {}, \
-             \"locality_queries\": {}, \"locality_recomputes\": {}, \
+             \"locality_queries\": {}, \
              \"index_invalidations\": {}, \"valid_level_rebuilds\": {}, \
              \"score_cache_hits\": {}, \"score_cache_misses\": {}, \
              \"score_cache_invalidations\": {}, \
@@ -360,7 +360,6 @@ fn main() {
             s.batches_discarded,
             s.assignments_discarded,
             s.locality_queries,
-            s.locality_recomputes,
             s.index_invalidations,
             s.valid_level_rebuilds,
             s.score_cache_hits,

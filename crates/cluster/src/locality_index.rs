@@ -11,19 +11,14 @@
 //!   one disk-nodes row of `u64` words per block, indexed by a flat block
 //!   id (per-RDD offsets). Node and rack membership tests become masked
 //!   word tests because [`crate::topology::Topology::build`] assigns node
-//!   ids contiguously per rack and executor ids contiguously per node;
-//! * **generation counters**: every residency change bumps the touched
-//!   block's generation and a global generation. Derived state carries the
-//!   generation sum it was computed from and is valid iff the sum is
-//!   unchanged (generations only grow, so equal sums mean untouched
-//!   blocks);
-//! * **per-task memos** of the full per-executor locality vector, filled
-//!   lazily and invalidated by generation mismatch — a cache hit turns
-//!   `task_locality` into two array reads;
-//! * a **per-stage valid-levels memo** keyed on (global generation,
-//!   pending-set version, claimed count), so Spark's
-//!   `computeValidLocalityLevels` runs once per stage per scheduling round
-//!   instead of once per placement probe;
+//!   ids contiguously per rack and executor ids contiguously per node. A
+//!   task's level on an executor is the max over its locality blocks of
+//!   a few such tests, derived on demand: nothing per task is memoized
+//!   (`DESIGN.md` §20);
+//! * a **per-stage valid-levels fold**: per-level counts of the pending
+//!   tasks' contribution masks, maintained from the pending-churn and
+//!   residency-flip deltas, so Spark's `computeValidLocalityLevels` costs
+//!   O(changed since the last query) instead of a walk over pending;
 //! * an **inverted pending-work index**: for every (live stage, sub-ANY
 //!   locality level, executor), the number of *pending* tasks that would
 //!   run at exactly that level there, plus a strict variant counting only
@@ -53,9 +48,10 @@
 //! [`add_cached`](LocalityIndex::add_cached),
 //! [`remove_cached`](LocalityIndex::remove_cached)); membership reads
 //! ([`on_disk_at`](LocalityIndex::on_disk_at),
-//! [`is_cached_in`](LocalityIndex::is_cached_in), …) are bit tests. The
-//! unit tests and property tests cross-check it against a shadow
-//! `DataMap` fed the same mutations.
+//! [`is_cached_in`](LocalityIndex::is_cached_in), …) are bit tests. Each
+//! mutation that changes a bit advances the global
+//! [`generation`](LocalityIndex::generation). The unit tests and property
+//! tests cross-check it against a shadow `DataMap` fed the same mutations.
 
 // Packed u8 rack codes and u32 flat ids: counts are bounded by cluster
 // size (execs, nodes, racks) and per-RDD block counts, all far below the
@@ -79,9 +75,7 @@ use crate::view::TaskView;
 pub struct IndexStats {
     /// Locality lookups answered (task/block level queries).
     pub locality_queries: u64,
-    /// Task memos (re)computed — cache misses among those lookups.
-    pub memo_recomputes: u64,
-    /// Residency mutations that invalidated derived state.
+    /// Residency mutations that changed a bit (the index generation).
     pub invalidations: u64,
     /// Valid-locality-ladder recomputations (per stage per round).
     pub valid_level_rebuilds: u64,
@@ -105,20 +99,19 @@ pub struct IndexStats {
 /// `Locality::Any` as the packed `u8` the index stores levels in.
 const L_ANY: u8 = Locality::Any as u8;
 
-/// Memoized per-task locality: the locality level on every executor plus
-/// the best level anywhere, stamped with the generation sum of the task's
-/// locality blocks at computation time.
-#[derive(Clone, Debug, Default)]
-struct TaskMemo {
-    /// `1 + Σ gen[block]` at computation time; 0 = never computed.
-    stamp: u64,
-    best: u8,
-    /// Bitmask of the levels this task contributes to its stage's valid
-    /// locality set: the levels seen walking executors in id order up to
-    /// and including the first PROCESS-local one — exactly the sequential
-    /// `computeValidLocalityLevels` inner loop with its early break.
-    contrib: u8,
-    levels: Box<[u8]>,
+/// Bitmask of the levels a task with per-executor `levels` contributes to
+/// its stage's valid locality set: the levels seen walking executors in id
+/// order up to and including the first PROCESS-local one — exactly the
+/// sequential `computeValidLocalityLevels` inner loop with its early break.
+fn contrib_of(levels: &[u8]) -> u8 {
+    let mut c = 0u8;
+    for &l in levels {
+        c |= 1 << l;
+        if l == Locality::Process.index() as u8 {
+            break;
+        }
+    }
+    c
 }
 
 /// Per-stage valid-level contribution counts, maintained incrementally.
@@ -165,9 +158,9 @@ fn contrib_sub(cnt: &mut [u32; 4], mut mask: u8) {
 /// Resumable placement scan over one stage's pending set, shared by
 /// every executor. Filling is lazy: one frontier examines tasks in
 /// ascending pending order only as far as any probe needs, and each
-/// examination fans the task's level on *every* executor (which
-/// `ensure_task` computes in one pass anyway) out to per-(executor,
-/// level) candidate bitsets. A probe for (executor, level) is then a
+/// examination fans the task's level on *every* executor (one
+/// [`LocalityIndex::task_levels`] pass) out to per-(executor, level)
+/// candidate bitsets. A probe for (executor, level) is then a
 /// word-wise `candidates & pending & !claimed` scan — the first set bit
 /// is exactly the task the sequential first-match walk would return, so
 /// one examination pass is shared by every executor and every pick of an
@@ -207,7 +200,6 @@ struct StageScan {
 
 // lint: incremental(cached_bits, mutators = [cached_row_mut])
 // lint: incremental(disk_bits, mutators = [disk_row_mut])
-// lint: incremental(gen, mutators = [bump])
 // lint: incremental(live, mutators = [set_stage_live], oracle = check_live_set)
 // lint: incremental(inv_cnt, mutators = [inv_insert_task, inv_remove_task, inv_commit, set_stage_live], oracle = check_inv_consistency)
 // lint: incremental(inv_scnt, mutators = [inv_insert_task, inv_remove_task, inv_commit, set_stage_live], oracle = check_inv_consistency)
@@ -217,10 +209,9 @@ struct StageScan {
 // lint: incremental(inv_best_any, mutators = [inv_insert_task, inv_remove_task, inv_commit, set_stage_live])
 // lint: incremental(inv_rack_best, mutators = [inv_insert_task, inv_commit])
 // lint: incremental(readers)
-// lint: incremental(memo, mutators = [on_pending_inserted, task_locality, task_best_level, valid_levels, scan_first])
 // lint: incremental(contrib_memo, mutators = [inv_commit, on_pending_removed, on_pending_inserted, set_stage_live, valid_levels])
 // lint: incremental(scan_memo, mutators = [inv_commit, set_stage_live, scan_first])
-// lint: hotpath(bump, inv_capture, inv_commit, inv_insert_task, inv_remove_task, pending_level_count, pending_strict_count, scan_first)
+// lint: hotpath(inv_capture, inv_commit, inv_insert_task, inv_remove_task, pending_level_count, pending_strict_count, scan_first)
 pub struct LocalityIndex {
     /// Flat block id = `rdd_base[rdd] + partition`.
     rdd_base: Vec<u32>,
@@ -232,8 +223,7 @@ pub struct LocalityIndex {
     /// `disk_bits[block × node_words ..][..node_words]`: nodes holding a
     /// disk replica.
     disk_bits: Vec<u64>,
-    /// Per-block mutation generation (monotone).
-    gen: Vec<u64>,
+    /// Residency mutations that changed a bit (monotone).
     global_gen: u64,
     // Topology summary (contiguous-id ranges, see module docs).
     num_execs: u32,
@@ -247,13 +237,12 @@ pub struct LocalityIndex {
     rack_exec_range: Vec<(u32, u32)>,
     /// `task_blocks[stage][task]` = flat ids of the task's locality blocks.
     task_blocks: Vec<Vec<Vec<u32>>>,
-    memo: RefCell<Vec<Vec<TaskMemo>>>,
     contrib_memo: RefCell<Vec<ContribState>>,
     /// One shared placement scan per stage (see [`StageScan`]).
     scan_memo: RefCell<Vec<StageScan>>,
+    /// Per-executor level scratch for the `&self` queries.
+    levels_scratch: RefCell<Vec<u8>>,
     queries: Cell<u64>,
-    recomputes: Cell<u64>,
-    invalidations: Cell<u64>,
     valid_rebuilds: Cell<u64>,
     score_hits: Cell<u64>,
     score_misses: Cell<u64>,
@@ -432,10 +421,6 @@ impl LocalityIndex {
                     .collect()
             })
             .collect();
-        let memo = task_views
-            .iter()
-            .map(|per_task| vec![TaskMemo::default(); per_task.len()])
-            .collect();
 
         let mut readers: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n_blocks as usize];
         for (s, per_task) in task_blocks.iter().enumerate() {
@@ -460,7 +445,6 @@ impl LocalityIndex {
             node_words,
             cached_bits: vec![0; exec_words * n_blocks as usize],
             disk_bits: vec![0; node_words * n_blocks as usize],
-            gen: vec![0; n_blocks as usize],
             global_gen: 0,
             num_execs,
             exec_node,
@@ -469,12 +453,10 @@ impl LocalityIndex {
             rack_node_range,
             rack_exec_range,
             task_blocks,
-            memo: RefCell::new(memo),
             contrib_memo: RefCell::new(vec![ContribState::default(); task_views.len()]),
             scan_memo: RefCell::new(vec![StageScan::default(); task_views.len()]),
+            levels_scratch: RefCell::new(Vec::new()),
             queries: Cell::new(0),
-            recomputes: Cell::new(0),
-            invalidations: Cell::new(0),
             valid_rebuilds: Cell::new(0),
             score_hits: Cell::new(0),
             score_misses: Cell::new(0),
@@ -500,8 +482,7 @@ impl LocalityIndex {
             inv_tmp_scratch: Vec::new(),
             inv_pairs_scratch: Vec::new(),
         };
-        // Ingest the initial placement (no generation bumps needed: the
-        // memos are all empty).
+        // Ingest the initial placement (generation 0).
         for r in dag.rdds() {
             for b in r.blocks() {
                 let bi = idx.flat_id(b) as usize;
@@ -542,13 +523,6 @@ impl LocalityIndex {
         &mut self.disk_bits[bi * self.node_words..][..self.node_words]
     }
 
-    // lint: allow(panic-surface): `bi` is a flat block id < num_blocks, the size `gen` was built with
-    fn bump(&mut self, bi: usize) {
-        self.gen[bi] += 1;
-        self.global_gen += 1;
-        self.invalidations.set(self.invalidations.get() + 1);
-    }
-
     // ------------------------------------------------------------------
     // Residency mutations
     // ------------------------------------------------------------------
@@ -560,7 +534,7 @@ impl LocalityIndex {
             let rack = self.node_rack[node.index()] as usize;
             self.inv_capture(bi, rack);
             set_bit(self.disk_row_mut(bi), node.0);
-            self.bump(bi);
+            self.global_gen += 1;
             self.inv_commit(bi, rack);
         }
     }
@@ -572,7 +546,7 @@ impl LocalityIndex {
             let rack = self.node_rack[self.exec_node[exec.index()] as usize] as usize;
             self.inv_capture(bi, rack);
             set_bit(self.cached_row_mut(bi), exec.0);
-            self.bump(bi);
+            self.global_gen += 1;
             self.inv_commit(bi, rack);
         }
     }
@@ -584,21 +558,20 @@ impl LocalityIndex {
             let rack = self.node_rack[self.exec_node[exec.index()] as usize] as usize;
             self.inv_capture(bi, rack);
             clear_bit(self.cached_row_mut(bi), exec.0);
-            self.bump(bi);
+            self.global_gen += 1;
             self.inv_commit(bi, rack);
         }
     }
 
     /// Remove a node's disk replica (executor crash losing local output
-    /// files). Bumps generations exactly like the other mutations so
-    /// memoized localities go stale correctly.
+    /// files).
     pub fn remove_disk(&mut self, b: BlockId, node: NodeId) {
         let bi = self.flat_id(b) as usize;
         if get_bit(self.disk_row(bi), node.0) {
             let rack = self.node_rack[node.index()] as usize;
             self.inv_capture(bi, rack);
             clear_bit(self.disk_row_mut(bi), node.0);
-            self.bump(bi);
+            self.global_gen += 1;
             self.inv_commit(bi, rack);
         }
     }
@@ -617,8 +590,8 @@ impl LocalityIndex {
 
     /// Task `(s, k)`'s locality level on executor `e`, computed fresh from
     /// the residency bitsets (max over locality blocks; ANY for a task
-    /// with no locality blocks). The oracle-side twin of the batched
-    /// [`Self::task_levels_in_rack`] and of `ensure_task`'s inner loop.
+    /// with no locality blocks). The single-executor twin of the batched
+    /// [`Self::task_levels_in_rack`].
     fn task_level_raw(&self, s: usize, k: usize, e: u32) -> u8 {
         let blocks = &self.task_blocks[s][k];
         if blocks.is_empty() {
@@ -634,21 +607,22 @@ impl LocalityIndex {
         worst
     }
 
-    /// Fill `out` with task `(s, k)`'s levels across rack `rack`'s
+    /// Append to `out` task `(s, k)`'s levels across rack `rack`'s
     /// executors (one entry per executor in the rack's contiguous id
     /// range). Equivalent to [`Self::task_level_raw`] per executor, but
     /// each block is resolved once per *node* (disk bit + node cache
     /// range) instead of once per executor — the incremental-maintenance
     /// hot loop at large rack widths.
     fn task_levels_in_rack(&self, s: usize, k: usize, rack: usize, out: &mut Vec<u8>) {
-        out.clear();
         let (ra, rb) = self.rack_exec_range[rack];
         let blocks = &self.task_blocks[s][k];
+        let base = out.len();
         if blocks.is_empty() {
-            out.resize((rb - ra) as usize, L_ANY);
+            out.resize(base + (rb - ra) as usize, L_ANY);
             return;
         }
-        out.resize((rb - ra) as usize, Locality::Process.index() as u8);
+        out.resize(base + (rb - ra) as usize, Locality::Process.index() as u8);
+        let out = &mut out[base..];
         let (na, nb) = self.rack_node_range[rack];
         for &bi in blocks {
             let bi = bi as usize;
@@ -683,6 +657,23 @@ impl LocalityIndex {
         }
     }
 
+    /// Fill `out` with task `(s, k)`'s level on every executor, in id
+    /// order (racks hold contiguous ascending executor ranges).
+    fn task_levels(&self, s: usize, k: usize, out: &mut Vec<u8>) {
+        out.clear();
+        for r in 0..self.rack_exec_range.len() {
+            self.task_levels_in_rack(s, k, r, out);
+        }
+    }
+
+    /// Task `(s, k)`'s valid-level contribution mask ([`contrib_of`] over
+    /// its current levels).
+    fn task_contrib(&self, s: usize, k: usize) -> u8 {
+        let mut levels = self.levels_scratch.borrow_mut();
+        self.task_levels(s, k, &mut levels);
+        contrib_of(&levels)
+    }
+
     /// Fold task `(s, k)` into the inverted index as pending: compute its
     /// levels over the candidate racks (racks holding a replica of its
     /// first block — a superset of every rack where its level is below
@@ -702,6 +693,7 @@ impl LocalityIndex {
         for r in 0..nr {
             let mut rmin = L_ANY;
             if !empty && self.rack_has_replica(fb, r) {
+                news.clear();
                 self.task_levels_in_rack(s, k, r, &mut news);
                 let (ra, _) = self.rack_exec_range[r];
                 for (j, &l) in news.iter().enumerate() {
@@ -751,6 +743,7 @@ impl LocalityIndex {
             if self.inv_rack_best[s][k * nr + r] == L_ANY {
                 continue;
             }
+            news.clear();
             self.task_levels_in_rack(s, k, r, &mut news);
             let (ra, _) = self.rack_exec_range[r];
             for (j, &l) in news.iter().enumerate() {
@@ -776,7 +769,6 @@ impl LocalityIndex {
     fn inv_capture(&mut self, bi: usize, rack: usize) {
         let mut readers = std::mem::take(&mut self.inv_readers_scratch);
         let mut olds = std::mem::take(&mut self.inv_levels_scratch);
-        let mut news = std::mem::take(&mut self.inv_news_scratch);
         readers.clear();
         olds.clear();
         for i in 0..self.readers[bi].len() {
@@ -785,12 +777,10 @@ impl LocalityIndex {
                 continue;
             }
             readers.push((s, k));
-            self.task_levels_in_rack(s as usize, k as usize, rack, &mut news);
-            olds.extend_from_slice(&news);
+            self.task_levels_in_rack(s as usize, k as usize, rack, &mut olds);
         }
         self.inv_readers_scratch = readers;
         self.inv_levels_scratch = olds;
-        self.inv_news_scratch = news;
     }
 
     /// Post-flip diff: recompute each captured reader's levels across the
@@ -814,6 +804,7 @@ impl LocalityIndex {
         for (ri, &(s32, k32)) in readers.iter().enumerate() {
             let (s, k) = (s32 as usize, k32 as usize);
             let old = &olds[ri * w..][..w];
+            news.clear();
             self.task_levels_in_rack(s, k, rack, &mut news);
             let mut rmin = L_ANY;
             let mut changed = false;
@@ -900,6 +891,7 @@ impl LocalityIndex {
                     let lv: &[u8] = if r == rack {
                         old
                     } else {
+                        tmp.clear();
                         self.task_levels_in_rack(s, k, r, &mut tmp);
                         &tmp
                     };
@@ -920,6 +912,7 @@ impl LocalityIndex {
                     let lv: &[u8] = if r == rack {
                         &news
                     } else {
+                        tmp.clear();
                         self.task_levels_in_rack(s, k, r, &mut tmp);
                         &tmp
                     };
@@ -1013,9 +1006,7 @@ impl LocalityIndex {
         self.inv_updates.set(self.inv_updates.get() + 1);
         self.inv_insert_task(s, k as usize);
         if self.contrib_memo.get_mut()[s].init {
-            let mut memo = self.memo.borrow_mut();
-            let c = self.ensure_task(&mut memo, s, k as usize).contrib;
-            drop(memo);
+            let c = self.task_contrib(s, k as usize);
             let cm = &mut self.contrib_memo.get_mut()[s];
             cm.applied[k as usize] = c;
             contrib_add(&mut cm.cnt, c);
@@ -1123,17 +1114,8 @@ impl LocalityIndex {
                 // (pops subtract exactly what was applied), and any task
                 // not queued dirty must have a *current* mask applied.
                 contrib_add(&mut applied_sum, cm.applied[ku]);
-                if !cm.dirty_bit[ku] {
-                    let mut c = 0u8;
-                    for &l in levels.iter() {
-                        c |= 1 << l;
-                        if l == Locality::Process.index() as u8 {
-                            break;
-                        }
-                    }
-                    if cm.applied[ku] != c {
-                        return false;
-                    }
+                if !cm.dirty_bit[ku] && cm.applied[ku] != contrib_of(&levels) {
+                    return false;
                 }
             }
             if best == L_ANY {
@@ -1258,67 +1240,18 @@ impl LocalityIndex {
         Locality::Any.index() as u8
     }
 
-    /// Ensure the task's memo is current; runs under the caller's borrow.
-    fn ensure_task<'m>(&self, memo: &'m mut [Vec<TaskMemo>], s: usize, k: usize) -> &'m TaskMemo {
-        let blocks = &self.task_blocks[s][k];
-        let stamp = 1 + blocks.iter().map(|&b| self.gen[b as usize]).sum::<u64>();
-        let m = &mut memo[s][k];
-        if m.stamp != stamp {
-            self.recomputes.set(self.recomputes.get() + 1);
-            if m.levels.is_empty() {
-                m.levels =
-                    vec![Locality::Any.index() as u8; self.num_execs as usize].into_boxed_slice();
-            }
-            let any = Locality::Any.index() as u8;
-            let process = Locality::Process.index() as u8;
-            let mut best = any;
-            let mut contrib = 0u8;
-            let mut contributing = true;
-            for e in 0..self.num_execs {
-                // No locality blocks (wide-only task) → no preference: Any.
-                let mut worst = if blocks.is_empty() {
-                    any
-                } else {
-                    Locality::Process.index() as u8
-                };
-                for &bi in blocks {
-                    worst = worst.max(self.block_level(bi as usize, e));
-                    if worst == any {
-                        break;
-                    }
-                }
-                m.levels[e as usize] = worst;
-                best = best.min(worst);
-                // The sequential valid-levels walk stops at the first
-                // PROCESS-local executor; replicate its contribution set.
-                if contributing {
-                    contrib |= 1 << worst;
-                    if worst == process {
-                        contributing = false;
-                    }
-                }
-            }
-            m.best = best;
-            m.contrib = contrib;
-            m.stamp = stamp;
-        }
-        m
-    }
-
     /// The locality level task `(s, k)` would run at on executor `e`.
     pub fn task_locality(&self, s: usize, k: u32, e: ExecId) -> Locality {
         self.queries.set(self.queries.get() + 1);
-        let mut memo = self.memo.borrow_mut();
-        let m = self.ensure_task(&mut memo, s, k as usize);
-        Locality::from_index(m.levels[e.index()] as usize)
+        Locality::from_index(self.task_level_raw(s, k as usize, e.0) as usize)
     }
 
     /// The best locality task `(s, k)` can achieve on any executor.
     pub fn task_best_level(&self, s: usize, k: u32) -> Locality {
         self.queries.set(self.queries.get() + 1);
-        let mut memo = self.memo.borrow_mut();
-        let m = self.ensure_task(&mut memo, s, k as usize);
-        Locality::from_index(m.best as usize)
+        let mut levels = self.levels_scratch.borrow_mut();
+        self.task_levels(s, k as usize, &mut levels);
+        Locality::from_index(levels.iter().copied().min().unwrap_or(L_ANY) as usize)
     }
 
     /// Valid locality levels of stage `s` (Spark's
@@ -1356,9 +1289,8 @@ impl LocalityIndex {
             cm.dirty_bit.resize(n, false);
             cm.dirty.clear();
             cm.cnt = [0u32; 4];
-            let mut memo = self.memo.borrow_mut();
             for k in pending.iter() {
-                let c = self.ensure_task(&mut memo, s, k as usize).contrib;
+                let c = self.task_contrib(s, k as usize);
                 cm.applied[k as usize] = c;
                 contrib_add(&mut cm.cnt, c);
             }
@@ -1372,7 +1304,6 @@ impl LocalityIndex {
             self.score_misses.set(self.score_misses.get() + 1);
             self.score_invalidations
                 .set(self.score_invalidations.get() + 1);
-            let mut memo = self.memo.borrow_mut();
             let mut dirty = std::mem::take(&mut cm.dirty);
             for &k in &dirty {
                 let ku = k as usize;
@@ -1380,7 +1311,7 @@ impl LocalityIndex {
                 if !self.inv_pending[s][ku] {
                     continue;
                 }
-                let new = self.ensure_task(&mut memo, s, ku).contrib;
+                let new = self.task_contrib(s, ku);
                 let old = cm.applied[ku];
                 if old != new {
                     contrib_sub(&mut cm.cnt, old);
@@ -1391,20 +1322,20 @@ impl LocalityIndex {
             dirty.clear();
             cm.dirty = dirty;
         }
+        // Claims are a subset of pending, and the fold above left every
+        // pending task's applied mask current: subtract those.
         let mut cnt = cm.cnt;
         if claimed_count > 0 {
-            let mut memo = self.memo.borrow_mut();
             for (w, &word) in claimed_bits.iter().enumerate() {
                 let mut bits = word;
                 while bits != 0 {
                     let k = w as u32 * 64 + bits.trailing_zeros();
                     bits &= bits - 1;
-                    let mut c = self.ensure_task(&mut memo, s, k as usize).contrib;
-                    while c != 0 {
-                        let l = c.trailing_zeros() as usize;
-                        cnt[l] -= 1;
-                        c &= c - 1;
-                    }
+                    debug_assert!(
+                        pending.contains(k),
+                        "claimed task {k} of stage {s} not pending"
+                    );
+                    contrib_sub(&mut cnt, cm.applied[k as usize]);
                 }
             }
         }
@@ -1436,7 +1367,7 @@ impl LocalityIndex {
     /// Launch pops are masked by the pending bitmap, residency flips
     /// patch the affected bits in place, and only a pending re-insertion
     /// (failure recovery) forces a rescan. Defined for live stages only.
-    // lint: allow(panic-surface): bitset words and memo rows are sized to the stage's task universe at fill time
+    // lint: allow(panic-surface): bitset words and per-task rows are sized to the stage's task universe at fill time
     pub fn scan_first(
         &self,
         s: usize,
@@ -1487,20 +1418,19 @@ impl LocalityIndex {
                 if strict && self.inv_best[s][k as usize] < lu {
                     continue;
                 }
-                #[cfg(debug_assertions)]
-                {
-                    let mut memo = self.memo.borrow_mut();
-                    let m = self.ensure_task(&mut memo, s, k as usize);
-                    debug_assert_eq!(
-                        m.levels[e.index()],
-                        lu,
-                        "scan bit drifted from live level (stage {s} task {k})"
-                    );
-                    debug_assert_eq!(
-                        m.best, self.inv_best[s][k as usize],
-                        "inv_best drifted from recomputation (stage {s} task {k})"
-                    );
-                }
+                debug_assert_eq!(
+                    self.task_level_raw(s, k as usize, e.0),
+                    lu,
+                    "scan bit drifted from live level (stage {s} task {k})"
+                );
+                debug_assert_eq!(
+                    (0..self.num_execs)
+                        .map(|x| self.task_level_raw(s, k as usize, x))
+                        .min()
+                        .unwrap_or(L_ANY),
+                    self.inv_best[s][k as usize],
+                    "inv_best drifted from recomputation (stage {s} task {k})"
+                );
                 return Some(k);
             }
         }
@@ -1510,20 +1440,23 @@ impl LocalityIndex {
         // `PendingSet::next_after` for why no member can be skipped while
         // the inserts key is unchanged).
         let claimed = |k: u32| -> bool { !claimed_bits.is_empty() && get_bit(claimed_bits, k) };
-        let mut memo = self.memo.borrow_mut();
+        let mut levels = self.levels_scratch.borrow_mut();
         while let Some(k) = sm.cursor {
             sm.cursor = pending.next_after(k);
             if !pending.contains(k) {
                 continue;
             }
             self.queries.set(self.queries.get() + 1);
-            let m = self.ensure_task(&mut memo, s, k as usize);
+            self.task_levels(s, k as usize, &mut levels);
             let (w, b) = ((k / 64) as usize, 1u64 << (k % 64));
             sm.examined[w] |= b;
-            for (e2, &l2) in m.levels.iter().enumerate() {
+            for (e2, &l2) in levels.iter().enumerate() {
                 sm.bits[(e2 * 4 + l2 as usize) * words + w] |= b;
             }
-            if m.levels[e.index()] == lu && !claimed(k) && (!strict || m.best >= lu) {
+            if levels[e.index()] == lu
+                && !claimed(k)
+                && (!strict || self.inv_best[s][k as usize] >= lu)
+            {
                 return Some(k);
             }
         }
@@ -1534,8 +1467,7 @@ impl LocalityIndex {
     pub fn stats(&self) -> IndexStats {
         IndexStats {
             locality_queries: self.queries.get(),
-            memo_recomputes: self.recomputes.get(),
-            invalidations: self.invalidations.get(),
+            invalidations: self.global_gen,
             valid_level_rebuilds: self.valid_rebuilds.get(),
             score_cache_hits: self.score_hits.get(),
             score_cache_misses: self.score_misses.get(),
@@ -1611,10 +1543,6 @@ mod tests {
         let (_dag, topo, mut idx, mut data) = build();
         let b0 = BlockId::new(RddId(0), 0);
         let b3 = BlockId::new(RddId(0), 3);
-        // Interleave queries (fills memos) with mutations (invalidates).
-        for e in 0..8u32 {
-            let _ = idx.task_locality(0, 0, ExecId(e));
-        }
         idx.add_cached(b0, ExecId(5));
         data.add_cached(b0, ExecId(5));
         idx.add_cached(b3, ExecId(0));
@@ -1657,10 +1585,6 @@ mod tests {
     fn remove_disk_invalidates_and_matches_brute_force() {
         let (_dag, topo, mut idx, mut data) = build();
         let b2 = BlockId::new(RddId(0), 2);
-        // Warm the memos.
-        for e in 0..8u32 {
-            let _ = idx.task_locality(0, 2, ExecId(e));
-        }
         let g0 = idx.generation();
         let node = *data.disk_nodes(b2).first().unwrap();
         assert!(idx.on_disk_at(b2, node));
@@ -1710,6 +1634,24 @@ mod tests {
         assert_eq!(idx.stats().valid_level_rebuilds, rebuilds0);
     }
 
+    /// A claimed task's subtracted mask must be its *post-flip* one: the
+    /// flip caches task 1's block (the only PROCESS-local work anywhere),
+    /// and the first query after it claims task 1.
+    #[test]
+    fn valid_levels_subtract_claims_after_a_releveling_flip() {
+        let (_dag, _topo, mut idx, _) = build();
+        let pending = PendingSet::full(6);
+        let has_process = |(lv, n): ([Locality; 4], usize)| lv[..n].contains(&Locality::Process);
+        assert!(!has_process(idx.valid_levels(0, &pending, &[], 0)));
+        idx.add_cached(BlockId::new(RddId(0), 1), ExecId(5));
+        let claimed = vec![0b10u64]; // task 1 claimed
+        let (lv, n) = idx.valid_levels(0, &pending, &claimed, 1);
+        assert!(n >= 1 && !lv[..n].contains(&Locality::Process));
+        assert_eq!(lv[n - 1], Locality::Any);
+        assert!(has_process(idx.valid_levels(0, &pending, &[], 0)));
+        assert!(idx.check_inv_consistency(0, &pending));
+    }
+
     #[test]
     fn scan_first_matches_sequential_scan() {
         let (_dag, _topo, mut idx, _) = build();
@@ -1743,8 +1685,8 @@ mod tests {
         assert!(idx.stats().score_cache_hits > hits0);
     }
 
-    /// Brute-force inverted-index gate counts straight from the memo-free
-    /// level recomputation.
+    /// Brute-force inverted-index gate counts straight from
+    /// [`LocalityIndex::task_level_raw`].
     fn brute_counts(
         idx: &LocalityIndex,
         s: usize,
@@ -1831,6 +1773,7 @@ mod tests {
         let mut out = Vec::new();
         for k in 0..6 {
             for rack in 0..idx.rack_exec_range.len() {
+                out.clear();
                 idx.task_levels_in_rack(0, k, rack, &mut out);
                 let (ra, rb) = idx.rack_exec_range[rack];
                 assert_eq!(out.len(), (rb - ra) as usize);

@@ -210,9 +210,7 @@ pub struct SchedulerStats {
     pub assignments_discarded: u64,
     /// Per-(task, executor) locality lookups answered by the index.
     pub locality_queries: u64,
-    /// Lookups that missed the memo and recomputed from block bitsets.
-    pub locality_recomputes: u64,
-    /// Block-placement mutations that invalidated memoized localities.
+    /// Block-placement mutations that changed the index (its generation).
     pub index_invalidations: u64,
     /// Per-stage valid-locality-level ladder recomputations.
     pub valid_level_rebuilds: u64,
@@ -435,7 +433,6 @@ impl SimResult {
         r.counter("sched/batches_discarded", s.batches_discarded);
         r.counter("sched/assignments_discarded", s.assignments_discarded);
         r.counter("sched/locality_queries", s.locality_queries);
-        r.counter("sched/locality_recomputes", s.locality_recomputes);
         r.counter("sched/index_invalidations", s.index_invalidations);
         r.counter("sched/valid_level_rebuilds", s.valid_level_rebuilds);
         r.counter("sched/score_cache_hits", s.score_cache_hits);

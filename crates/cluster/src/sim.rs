@@ -416,7 +416,6 @@ impl Simulation {
         self.metrics.cache.resident_end = self.bms.iter().map(|bm| bm.num_resident() as u64).sum();
         let is = self.data.stats();
         self.metrics.sched.locality_queries = is.locality_queries;
-        self.metrics.sched.locality_recomputes = is.memo_recomputes;
         self.metrics.sched.index_invalidations = is.invalidations;
         self.metrics.sched.valid_level_rebuilds = is.valid_level_rebuilds;
         self.metrics.sched.view_rebuilds = self.cview.rebuilds();

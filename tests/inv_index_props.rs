@@ -12,7 +12,9 @@
 //!   brute-force per-(stage, level) membership oracle recomputed from a
 //!   shadow residency registry — plus the gate implication the placement
 //!   fast path relies on: a zero count at (exec, level) must mean the
-//!   first-match probe [`LocalityIndex::scan_first`] finds nothing there.
+//!   first-match probe [`LocalityIndex::scan_first`] finds nothing there
+//!   — and [`LocalityIndex::valid_levels`] under a random claim subset
+//!   must equal the sequential walk over the unclaimed pending tasks.
 //! * **Sim-level**: random workloads and chaos fault plans run end-to-end
 //!   in the dev profile, where `check_inv_consistency` re-derives every
 //!   count from scratch at each scheduling opportunity; on top the
@@ -222,6 +224,34 @@ fn live_stages(f: &Fixture) -> Vec<usize> {
     (0..2).filter(|&s| f.live[s]).collect()
 }
 
+/// Brute-force `computeValidLocalityLevels` over stage `s`'s pending
+/// tasks outside `claimed`: each task walks executors in id order up to
+/// and including its first PROCESS-local one, contributing every sub-ANY
+/// level it sees; ANY is valid iff some task is unclaimed.
+fn brute_valid_levels(f: &Fixture, s: usize, claimed: u64) -> Vec<Locality> {
+    let mut seen = [false; 4];
+    let mut any_unclaimed = false;
+    for k in f.pending[s].iter().filter(|&k| claimed >> k & 1 == 0) {
+        any_unclaimed = true;
+        for e in 0..f.topo.num_execs() as u32 {
+            let l = brute_level(&f.data, &f.topo, k, ExecId(e));
+            seen[l.index()] = true;
+            if l == Locality::Process {
+                break;
+            }
+        }
+    }
+    if !any_unclaimed {
+        return Vec::new();
+    }
+    let mut levels: Vec<Locality> = [Locality::Process, Locality::Node, Locality::Rack]
+        .into_iter()
+        .filter(|l| seen[l.index()])
+        .collect();
+    levels.push(Locality::Any);
+    levels
+}
+
 proptest! {
     /// After every step of any valid interleaved history, every
     /// per-(executor, level) count of every live stage equals the
@@ -312,6 +342,41 @@ proptest! {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Valid levels with claims, differentially: after every step, each
+    /// live stage claims a random subset of its pending tasks (as an
+    /// assignment batch does), and [`LocalityIndex::valid_levels`] must
+    /// equal the brute-force walk over the unclaimed ones. Querying
+    /// inside the history makes the fold initialize, follow pops and
+    /// re-inserts, and re-fold the readers each residency flip re-leveled
+    /// — so a claim on a just-re-leveled task subtracts its current mask.
+    #[test]
+    fn valid_levels_with_claims_match_brute_force(
+        steps in proptest::collection::vec((step_strategy(), 0u64..1 << (2 * N_TASKS)), 0..100),
+    ) {
+        let mut f = build();
+        for (step, draw) in &steps {
+            drive(step, &mut f);
+            for s in live_stages(&f) {
+                let pending_bits = f.pending[s].iter().fold(0u64, |m, k| m | 1 << k);
+                let claimed = draw >> (s as u32 * N_TASKS) & pending_bits;
+                let (levels, n) = f.idx.valid_levels(
+                    s,
+                    &f.pending[s],
+                    &[claimed],
+                    claimed.count_ones(),
+                );
+                prop_assert_eq!(
+                    levels[..n].to_vec(),
+                    brute_valid_levels(&f, s, claimed),
+                    "valid levels diverged at stage {} claims {:#b}", s, claimed
+                );
+            }
+            for s in 0..2 {
+                prop_assert!(f.idx.check_inv_consistency(s, &f.pending[s]));
             }
         }
     }

@@ -177,7 +177,6 @@ const REGISTRY_KEYS: &[&str] = &[
     "sched/inv_index_rebuilds",
     "sched/inv_index_updates",
     "sched/locality_queries",
-    "sched/locality_recomputes",
     "sched/ready_list_rebuilds",
     "sched/schedule_invocations",
     "sched/score_cache_hits",
