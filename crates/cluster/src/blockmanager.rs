@@ -5,12 +5,16 @@
 //! itself lives in the [`crate::locality_index::LocalityIndex`]'s
 //! residency bitsets. The simulator routes every admit/evict through the
 //! index's mutators, which is what lets the index maintain its derived
-//! state — locality memos and the inverted pending-work counts placement
-//! gates on — from the same delta stream.
+//! state — the inverted pending-work counts placement gates on — from
+//! the same delta stream.
+//!
+//! Proactive drops are event-driven ([`DropPass`]): the profile and the
+//! BlockManagers record the blocks whose drop standing may have moved,
+//! and only those are offered to the policies.
 
 use std::collections::BTreeMap;
 
-use dagon_dag::{BlockId, SimTime};
+use dagon_dag::{BlockId, SimTime, StageId};
 
 use crate::refprofile::RefProfile;
 
@@ -42,16 +46,23 @@ pub trait CachePolicy {
     ) -> Option<BlockId>;
 
     /// Blocks to drop right now regardless of space pressure (LRP's
-    /// proactive eviction of zero-reference-priority data).
+    /// proactive eviction of zero-reference-priority data), in the order
+    /// they appear in `candidates`.
     ///
-    /// Purity contract: the result is a function of `candidates`,
-    /// `profile` and the state the `on_*` callbacks above built, and it is
-    /// a per-block filter — a block's membership does not depend on the
-    /// other candidates. So once a sweep has dropped its victims, a second
-    /// sweep over the survivors returns nothing. The simulator relies on
-    /// this to skip an executor's sweep while neither its BlockManager nor
-    /// the profile has changed (see [`BlockManager::version`] and
-    /// [`RefProfile::version`]).
+    /// Purity contract: the result is a per-block filter over
+    /// `candidates` — a block's membership does not depend on the other
+    /// candidates — and a block's membership may change only when
+    ///
+    /// * the block enters the candidate set (inserted, or its last pin
+    ///   released),
+    /// * its use list in `profile` changes, or
+    /// * the `pv` of a stage that reads it reaches or leaves zero.
+    ///
+    /// LRU (never), LRC and MRD (no remaining use) and LRP (every
+    /// reader's `pv` is zero) all meet it. The simulator relies on it to
+    /// offer each pass only the blocks one of these events touched
+    /// ([`DropPass`]): any other block was already refused by an earlier
+    /// pass and would be refused again.
     fn proactive_victims(
         &mut self,
         _candidates: &[BlockId],
@@ -68,7 +79,10 @@ pub trait CachePolicy {
     }
 
     /// Rank `candidates` into full prefetch-preference order, best first,
-    /// written into `out`. Must agree with
+    /// written into `out`. The ranking must not depend on the order of
+    /// `candidates` (sort by a total key, e.g. one ending in the
+    /// `BlockId`): the simulator prunes and re-appends entries of its
+    /// candidate lists. Must agree with
     /// [`prefetch_pick`](Self::prefetch_pick): for any subset of
     /// `candidates`, the first `out` entry belonging to that subset is
     /// exactly the pick over it. The simulator relies on this to compute
@@ -127,6 +141,9 @@ pub struct BlockManager {
     /// Bumped on every state change: a block inserted or dropped, a pin
     /// taken or released, a hit fed to the policy.
     version: u64,
+    /// Blocks that became resident and unpinned (a successful insert, or
+    /// the last pin released) since the last [`DropPass`], with repeats.
+    fresh: Vec<BlockId>,
 }
 
 impl BlockManager {
@@ -138,6 +155,7 @@ impl BlockManager {
             pinned: BTreeMap::new(),
             policy,
             version: 0,
+            fresh: Vec::new(),
         }
     }
 
@@ -216,18 +234,26 @@ impl BlockManager {
             *c -= 1;
             if *c == 0 {
                 self.pinned.remove(&b);
+                self.fresh.push(b);
             }
             self.version += 1;
         }
     }
 
-    fn evictable(&self) -> Vec<BlockId> {
+    /// The unpinned resident blocks — the eviction candidates — in
+    /// ascending `BlockId` order.
+    pub fn evictable(&self) -> Vec<BlockId> {
         // Ascending BlockId order by construction (ordered keys).
         self.resident
             .keys()
             .filter(|b| !self.pinned.contains_key(b))
             .copied()
             .collect()
+    }
+
+    /// Is `b` resident and unpinned?
+    fn is_evictable(&self, b: BlockId) -> bool {
+        self.resident.contains_key(&b) && !self.pinned.contains_key(&b)
     }
 
     /// Try to insert `b` of `mb` MiB, evicting per policy as needed.
@@ -265,6 +291,7 @@ impl BlockManager {
         self.used_mb += mb;
         self.policy.on_insert(b, now);
         self.version += 1;
+        self.fresh.push(b);
         InsertOutcome::Inserted { evicted }
     }
 
@@ -298,25 +325,21 @@ impl BlockManager {
         blocks
     }
 
-    /// Apply the policy's proactive eviction pass; returns dropped blocks.
-    pub fn proactive_sweep(&mut self, profile: &RefProfile) -> Vec<BlockId> {
-        let candidates = self.evictable();
-        let victims = self.policy.proactive_victims(&candidates, profile);
-        for v in &victims {
-            self.drop_block(*v);
-        }
-        victims
-    }
-
-    /// Would [`proactive_sweep`](Self::proactive_sweep) drop nothing right
-    /// now? Asks the policy without dropping anything: the oracle for the
-    /// simulator's skipped sweeps.
+    /// Would the policy drop nothing from the whole evictable set right
+    /// now? Asks without dropping anything: the oracle [`DropPass`]
+    /// callers assert on every executor after each pass.
     #[cfg(debug_assertions)]
     pub(crate) fn check_sweep_idle(&mut self, profile: &RefProfile) -> bool {
         let candidates = self.evictable();
         self.policy
             .proactive_victims(&candidates, profile)
             .is_empty()
+    }
+
+    /// Has a block become evictable since the last [`DropPass`]?
+    #[cfg(debug_assertions)]
+    pub(crate) fn has_fresh(&self) -> bool {
+        !self.fresh.is_empty()
     }
 
     /// Full prefetch-preference ranking; see
@@ -328,6 +351,80 @@ impl BlockManager {
         out: &mut Vec<BlockId>,
     ) {
         self.policy.prefetch_order(candidates, profile, out);
+    }
+}
+
+/// The event-driven proactive drop pass, with its reused buffers.
+///
+/// A full sweep would offer every executor's whole evictable set to
+/// [`CachePolicy::proactive_victims`]. By that method's purity contract,
+/// after one pass the only blocks that can turn into victims are those
+/// an event touched since: the ones `RefProfile::drain_changes` reports
+/// (a changed use list, or a reader stage whose `pv` crossed zero) and
+/// the ones a BlockManager made evictable. [`DropPass::run`] offers each
+/// executor exactly those, so it drops what the full sweep would, in the
+/// same (executor, block) order.
+#[derive(Default)]
+pub struct DropPass {
+    blocks: Vec<BlockId>,
+    stages: Vec<StageId>,
+    pairs: Vec<(u32, BlockId)>,
+    candidates: Vec<BlockId>,
+}
+
+impl DropPass {
+    /// Drain the change streams of `profile` and `bms`, and drop every
+    /// block the policies now name. `stage_blocks(s, out)` appends a
+    /// superset of the blocks whose use list holds stage `s` (repeats
+    /// allowed); `holders(b, out)` appends `(executor, b)` for a superset
+    /// of the executors caching `b`. The victims are appended to `out` as
+    /// `(executor, block)`: executors ascending, each executor's in the
+    /// order its policy returned them.
+    pub fn run(
+        &mut self,
+        bms: &mut [BlockManager],
+        profile: &mut RefProfile,
+        mut stage_blocks: impl FnMut(StageId, &mut Vec<BlockId>),
+        mut holders: impl FnMut(BlockId, &mut Vec<(u32, BlockId)>),
+        out: &mut Vec<(u32, BlockId)>,
+    ) {
+        let rebuilt = profile.drain_changes(&mut self.blocks, &mut self.stages);
+        if !self.stages.is_empty() {
+            for &s in &self.stages {
+                stage_blocks(s, &mut self.blocks);
+            }
+            self.blocks.sort_unstable();
+            self.blocks.dedup();
+        }
+        self.pairs.clear();
+        for &b in &self.blocks {
+            holders(b, &mut self.pairs);
+        }
+        for (e, bm) in (0u32..).zip(bms.iter_mut()) {
+            if rebuilt {
+                self.pairs.extend(bm.resident.keys().map(|&b| (e, b)));
+            }
+            // Taken, not drained: hundreds of idle retained buffers
+            // would show in peak heap.
+            self.pairs
+                .extend(std::mem::take(&mut bm.fresh).into_iter().map(|b| (e, b)));
+        }
+        self.pairs.retain(|&(e, b)| bms[e as usize].is_evictable(b));
+        self.pairs.sort_unstable();
+        self.pairs.dedup();
+        let mut rest = &self.pairs[..];
+        while let Some(&(e, _)) = rest.first() {
+            let n = rest.partition_point(|p| p.0 == e);
+            self.candidates.clear();
+            self.candidates.extend(rest[..n].iter().map(|p| p.1));
+            rest = &rest[n..];
+            let bm = &mut bms[e as usize];
+            let victims = bm.policy.proactive_victims(&self.candidates, profile);
+            for &v in &victims {
+                bm.drop_block(v);
+            }
+            out.extend(victims.into_iter().map(|v| (e, v)));
+        }
     }
 }
 
@@ -537,7 +634,6 @@ mod tests {
         bm.unpin(blk(0, 0)); // not pinned
         assert!(!bm.invalidate(blk(0, 0)));
         assert!(bm.crash_clear().is_empty());
-        assert!(bm.proactive_sweep(&p).is_empty());
         assert_eq!(bm.version(), v);
     }
 }

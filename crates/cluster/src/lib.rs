@@ -41,7 +41,7 @@ pub mod sim;
 pub mod topology;
 pub mod view;
 
-pub use blockmanager::{BlockManager, CachePolicy, NoCache};
+pub use blockmanager::{BlockManager, CachePolicy, DropPass, NoCache};
 pub use config::{ClusterConfig, CostModel, LocalityWait, SpeculationConfig};
 pub use event::{Event, EventQueue};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};

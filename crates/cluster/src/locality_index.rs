@@ -349,6 +349,20 @@ fn clear_bit(row: &mut [u64], i: u32) {
     row[(i / 64) as usize] &= !(1 << (i % 64));
 }
 
+/// The set bits of `row`, ascending.
+fn bits_of(row: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    (0u32..).zip(row).flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let i = w * 64 + bits.trailing_zeros();
+                bits &= bits - 1;
+                i
+            })
+        })
+    })
+}
+
 impl LocalityIndex {
     /// Build the index over an initial placement. `task_views` supplies
     /// each task's locality blocks (narrow inputs); `live[s]` says whether
@@ -1158,6 +1172,11 @@ impl LocalityIndex {
         get_bit(self.disk_row(self.flat_id(b) as usize), node.0)
     }
 
+    /// Nodes holding a disk replica of the block, ascending.
+    pub(crate) fn disk_nodes(&self, b: BlockId) -> impl Iterator<Item = NodeId> + '_ {
+        bits_of(self.disk_row(self.flat_id(b) as usize)).map(NodeId)
+    }
+
     /// Does any disk replica of the block exist?
     pub fn on_disk_anywhere(&self, b: BlockId) -> bool {
         self.disk_row(self.flat_id(b) as usize)
@@ -1178,6 +1197,11 @@ impl LocalityIndex {
 
     pub fn is_cached_in(&self, b: BlockId, exec: ExecId) -> bool {
         get_bit(self.cached_row(self.flat_id(b) as usize), exec.0)
+    }
+
+    /// Executors whose cache holds the block, ascending.
+    pub(crate) fn cached_execs(&self, b: BlockId) -> impl Iterator<Item = ExecId> + '_ {
+        bits_of(self.cached_row(self.flat_id(b) as usize)).map(ExecId)
     }
 
     pub fn is_cached_anywhere(&self, b: BlockId) -> bool {

@@ -6,7 +6,7 @@
 // Frontier stage ids from `num_stages()`: bounded by DAG construction.
 #![allow(clippy::cast_possible_truncation)]
 
-use dagon_dag::{BlockId, DepKind, JobDag, StageId};
+use dagon_dag::{BlockId, DepKind, JobDag, RddId, StageId};
 
 /// One future use of a block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,6 +38,15 @@ pub struct RefProfile {
     pv: Vec<u64>,
     /// Bumped whenever anything a policy can read changes.
     version: u64,
+    /// Flat ids of the blocks whose use list changed since the last
+    /// [`drain_changes`](Self::drain_changes), with repeats.
+    changed: Vec<u32>,
+    /// Stages whose `pv` reached or left zero since the last drain, with
+    /// repeats.
+    crossed: Vec<StageId>,
+    /// A `rebuild` ran since the last drain: every block may have
+    /// changed.
+    rebuilt: bool,
 }
 
 impl RefProfile {
@@ -56,10 +65,13 @@ impl RefProfile {
     }
 
     /// Set stage `s`'s priority value, bumping the version only when the
-    /// value changes.
+    /// value changes, and recording the stage when it crosses zero.
     pub fn set_pv(&mut self, s: StageId, pv: u64) {
         let slot = &mut self.pv[s.index()];
         if *slot != pv {
+            if (*slot == 0) != (pv == 0) {
+                self.crossed.push(s);
+            }
             *slot = pv;
             self.version += 1;
         }
@@ -88,6 +100,43 @@ impl RefProfile {
     #[inline]
     fn get(&self, b: BlockId) -> Option<&[StageRef]> {
         self.idx(b).map(|i| self.uses[i].as_slice())
+    }
+
+    /// The block at flat index `i` (inverse of `idx`).
+    fn block_at(&self, i: u32) -> BlockId {
+        // Offsets are non-decreasing; the last RDD starting at or before
+        // `i` is the one with a non-empty range holding it.
+        let r = self.offsets.partition_point(|&o| o <= i) - 1;
+        BlockId::new(RddId(r as u32), i - self.offsets[r])
+    }
+
+    /// Drain the drop-standing change stream: the blocks whose use list
+    /// changed, ascending and without repeats, into `blocks`, and the
+    /// stages whose `pv` reached or left zero, ascending and without
+    /// repeats, into `stages` (both cleared first). Returns `true` when a
+    /// `rebuild` ran since the last drain, so every block may have
+    /// changed.
+    pub(crate) fn drain_changes(
+        &mut self,
+        blocks: &mut Vec<BlockId>,
+        stages: &mut Vec<StageId>,
+    ) -> bool {
+        self.changed.sort_unstable();
+        self.changed.dedup();
+        blocks.clear();
+        blocks.extend(self.changed.iter().map(|&i| self.block_at(i)));
+        self.changed.clear();
+        self.crossed.sort_unstable();
+        self.crossed.dedup();
+        stages.clear();
+        stages.append(&mut self.crossed);
+        std::mem::take(&mut self.rebuilt)
+    }
+
+    /// Is any change waiting for [`drain_changes`](Self::drain_changes)?
+    #[cfg(debug_assertions)]
+    pub(crate) fn has_changes(&self) -> bool {
+        self.rebuilt || !self.changed.is_empty() || !self.crossed.is_empty()
     }
     /// Rebuild the use map from scratch.
     ///
@@ -147,6 +196,8 @@ impl RefProfile {
             .map(|s| s.0)
             .unwrap_or(dag.num_stages() as u32);
         self.version += 1;
+        self.changed.clear();
+        self.rebuilt = true;
     }
 
     /// LRC's reference count: remaining unfinished reads.
@@ -186,6 +237,7 @@ impl RefProfile {
             if let Some(pos) = v.iter().position(|r| r.stage == stage) {
                 v.swap_remove(pos);
                 self.version += 1;
+                self.changed.push(i as u32);
             }
         }
     }
@@ -198,6 +250,7 @@ impl RefProfile {
         if let Some(i) = self.idx(b) {
             self.uses[i].push(StageRef { stage });
             self.version += 1;
+            self.changed.push(i as u32);
         }
     }
 
@@ -261,6 +314,34 @@ mod tests {
         assert_eq!(p.version(), v4);
         p.rebuild(&dag, &|_, _| false, &|_| false);
         assert!(p.version() > v4, "rebuild");
+    }
+
+    #[test]
+    fn change_stream_records_use_changes_and_pv_crossings() {
+        let (dag, mut p) = profile_at_start();
+        let (mut blocks, mut stages) = (Vec::new(), Vec::new());
+        assert!(p.drain_changes(&mut blocks, &mut stages), "rebuild");
+        assert!(!p.drain_changes(&mut blocks, &mut stages));
+        assert!(blocks.is_empty() && stages.is_empty());
+
+        let (a0, d2) = (BlockId::new(RddId(0), 0), BlockId::new(RddId(3), 2));
+        p.remove_use(d2, StageId(2));
+        p.remove_use(a0, StageId(0));
+        p.add_use(a0, StageId(0));
+        p.remove_use(a0, StageId(4)); // no such use: no record
+        let pv1 = p.pv[1];
+        p.set_pv(StageId(1), pv1 + 1); // stays non-zero: no record
+        p.set_pv(StageId(3), 0);
+        p.set_pv(StageId(1), 0);
+        p.set_pv(StageId(3), 5); // back above zero: recorded again
+        assert!(!p.drain_changes(&mut blocks, &mut stages));
+        assert_eq!(blocks, vec![a0, d2], "ascending, no repeats");
+        assert_eq!(stages, vec![StageId(1), StageId(3)]);
+        assert!(!p.drain_changes(&mut blocks, &mut stages));
+        assert!(blocks.is_empty() && stages.is_empty());
+
+        p.rebuild(&dag, &|_, _| false, &|_| false);
+        assert!(p.drain_changes(&mut blocks, &mut stages));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 use dagon_dag::{BlockId, JobDag, PriorityTracker, Resources, SimTime, StageId, TaskId};
 use dagon_obs::{EvictReason, KillReason, NullSink, SchedDecision, TraceEvent, TraceSink};
 
-use crate::blockmanager::{BlockManager, CachePolicy, InsertOutcome};
+use crate::blockmanager::{BlockManager, CachePolicy, DropPass, InsertOutcome};
 use crate::config::{ClusterConfig, ReadTier};
 use crate::event::{Event, EventQueue, ViewDelta};
 use crate::fault::{FaultKind, FaultRuntime};
@@ -74,11 +74,11 @@ struct RunningAttempt {
 
 /// One simulation run in progress.
 // lint: incremental(cview, mutators = [handle, launch, do_schedule, teardown_attempt, complete_stage, fail_attempt, requeue_task, exec_crash, exec_restart, resubmit_task, with_jobs, admit_job, reject_job], via = [apply, init_ready_list, set_stage_schedulable, compact_free_execs], oracle = check_consistency)
-// lint: incremental(data, mutators = [with_jobs, handle, launch, finish_task, complete_stage, proactive_sweeps, prefetch_arrive, exec_crash, block_loss, requeue_task, resubmit_task, admit_job, reject_job], via = [add_disk, add_cached, remove_cached, remove_disk, on_pending_removed, on_pending_inserted], oracle = check_inv_consistency)
+// lint: incremental(data, mutators = [with_jobs, handle, launch, finish_task, complete_stage, proactive_drops, prefetch_arrive, exec_crash, block_loss, requeue_task, resubmit_task, admit_job, reject_job], via = [add_disk, add_cached, remove_cached, remove_disk, on_pending_removed, on_pending_inserted], oracle = check_inv_consistency)
 // lint: incremental(jobs, mutators = [with_jobs, run, job_arrival, admit_job, reject_job, complete_stage, resubmit_task, launch, teardown_attempt], via = [on_arrival, admit_queued, on_stage_complete, on_stage_reopened, on_cores_consumed, on_cores_released], oracle = check_consistency)
-// lint: incremental(sweep_key, mutators = [proactive_sweeps], init = [new], oracle = check_sweep_idle)
 // lint: incremental(prefetch_key, mutators = [prefetch_scan], init = [new], oracle = check_prefetch_idle)
-// lint: incremental(tick_dirty, mutators = [handle, launch, proactive_sweeps, resubmit_task], init = [new], oracle = check_quiet_tick)
+// lint: incremental(disk_by_node, mutators = [finish_task, prefetch_scan, exec_crash, resubmit_task], init = [new], oracle = check_prefetch_candidates)
+// lint: incremental(tick_dirty, mutators = [handle, launch, proactive_drops, resubmit_task], init = [new], oracle = check_quiet_tick)
 pub struct Simulation {
     dag: JobDag,
     cfg: ClusterConfig,
@@ -92,6 +92,11 @@ pub struct Simulation {
     /// initial [`DataMap`] placement and the only residency record after
     /// that.
     data: LocalityIndex,
+    /// Per node, the prefetch candidates on its disk: cache-eligible
+    /// blocks with a replica there, none dead as of the node's last
+    /// `prefetch_scan` (the scan prunes dead entries; a lineage
+    /// resubmission re-appends the ones it revives). Unordered: the
+    /// policies' rankings do not depend on candidate order.
     disk_by_node: Vec<Vec<BlockId>>,
     stages: Vec<StageRuntime>,
     /// stage → task → (block, MiB) inputs. `Arc` so a launch can hold the
@@ -120,11 +125,10 @@ pub struct Simulation {
     // lint: allow(hash-ordered): membership-only, never iterated
     spec_launched: HashSet<TaskId>,
     prefetch_inflight: Vec<Option<(BlockId, f64)>>,
-    /// Per executor, `(bms[i].version(), profile.version())` after its
-    /// last proactive sweep. While both still match, a sweep would drop
-    /// nothing (the policies' per-block filters left no victim behind),
-    /// so it is skipped.
-    sweep_key: Vec<Option<(u64, u64)>>,
+    /// The event-driven proactive drop pass and its reused buffers.
+    drop_pass: DropPass,
+    /// Reused victim buffer for `proactive_drops`.
+    drop_victims: Vec<(u32, BlockId)>,
     /// Per executor, `(bms[i].version(), profile.version(),
     /// data.generation())` after a prefetch evaluation that started
     /// nothing; `None` after one that started a transfer, so the slot's
@@ -134,10 +138,11 @@ pub struct Simulation {
     prefetch_key: Vec<Option<(u64, u64, u64)>>,
     /// Has anything a tick's cache work reads changed since the last
     /// tick took this flag? Set by every non-`Tick` event, every launch,
-    /// every sweep that evicts and every lineage resubmission. A tick
-    /// that takes it clear skips `prefetch_scan` and `proactive_sweeps`:
-    /// every executor's `sweep_key`/`prefetch_key` still matches (or it
-    /// is prefetch-ineligible), so both would be no-ops (DESIGN.md §19).
+    /// every drop pass that evicts and every lineage resubmission. A tick
+    /// that takes it clear skips `prefetch_scan` and `proactive_drops`:
+    /// every executor's `prefetch_key` still matches (or it is
+    /// prefetch-ineligible) and no drop change is waiting, so both would
+    /// be no-ops (DESIGN.md §19, §22).
     tick_dirty: bool,
     /// Ticks that skipped the cache work on a clear `tick_dirty`.
     #[cfg_attr(not(test), allow(dead_code))] // read by the unit tests only
@@ -194,7 +199,7 @@ impl Simulation {
         let n_exec = topo.num_execs();
         let data = DataMap::place_sources(&dag, &topo, cfg.hdfs_replication, cfg.seed);
         let mut disk_by_node = vec![Vec::new(); topo.num_nodes()];
-        for rdd in dag.rdds().iter().filter(|r| r.is_source()) {
+        for rdd in dag.rdds().iter().filter(|r| r.is_source() && r.cached) {
             for b in rdd.blocks() {
                 for n in data.disk_nodes(b) {
                     disk_by_node[n.index()].push(b);
@@ -301,7 +306,8 @@ impl Simulation {
             // lint: allow(hash-ordered): membership-only, never iterated
             spec_launched: HashSet::new(),
             prefetch_inflight: vec![None; n_exec],
-            sweep_key: vec![None; n_exec],
+            drop_pass: DropPass::default(),
+            drop_victims: Vec::new(),
             prefetch_key: vec![None; n_exec],
             tick_dirty: true,
             quiet_ticks: 0,
@@ -580,12 +586,12 @@ impl Simulation {
                         self.speculation_check();
                     }
                     // Taken only after speculation, so a copy launched
-                    // just now is still swept this tick.
+                    // just now is still seen by this tick's drop pass.
                     if std::mem::take(&mut self.tick_dirty) {
                         if self.cfg.prefetch_free_frac.is_some() {
                             self.prefetch_scan();
                         }
-                        self.proactive_sweeps();
+                        self.proactive_drops();
                     } else {
                         self.quiet_ticks += 1;
                         #[cfg(debug_assertions)]
@@ -1092,7 +1098,9 @@ impl Simulation {
         let out = BlockId::new(self.dag.stage(task.stage).output, task.index);
         if !self.data.on_disk_at(out, node) {
             self.data.add_disk(out, node);
-            self.disk_by_node[node.index()].push(out);
+            if self.dag.rdd(out.rdd).cached {
+                self.disk_by_node[node.index()].push(out);
+            }
             if self.faults.enabled() {
                 // Remember whose files these are: an executor crash
                 // destroys the outputs it wrote to its node's disk.
@@ -1246,7 +1254,7 @@ impl Simulation {
                 num_tasks: self.dag.stage(c).num_tasks,
             });
         }
-        self.proactive_sweeps();
+        self.proactive_drops();
         // Online mode: the stage's job may be finished, which frees
         // admission slots and triggers closed-loop successors.
         if self.jobs.is_some() {
@@ -1347,36 +1355,52 @@ impl Simulation {
     // Caching machinery
     // ------------------------------------------------------------------
 
-    /// Run each executor's proactive eviction pass, skipping executors
-    /// whose `sweep_key` shows nothing changed since their last sweep.
-    fn proactive_sweeps(&mut self) {
-        let profile_v = self.profile.version();
+    /// Proactive eviction, driven by the blocks whose drop standing moved
+    /// since the last pass (DESIGN.md §22). A crossed stage expands into
+    /// the blocks its unfinished tasks read: a use entry is one
+    /// unfinished reading task, so no other block lists the stage. The
+    /// index's cached-executor row names the executors a changed block
+    /// may sit on.
+    fn proactive_drops(&mut self) {
+        let mut victims = std::mem::take(&mut self.drop_victims);
+        let (task_inputs, task_done) = (&self.task_inputs, &self.task_done);
+        let data = &self.data;
+        self.drop_pass.run(
+            &mut self.bms,
+            &mut self.profile,
+            |s, out| {
+                let si = s.index();
+                for (inputs, &done) in task_inputs[si].iter().zip(&task_done[si]) {
+                    if !done {
+                        out.extend(inputs.iter().map(|&(b, _)| b));
+                    }
+                }
+            },
+            |b, out| out.extend(data.cached_execs(b).map(|e| (e.0, b))),
+            &mut victims,
+        );
+        #[cfg(debug_assertions)]
         for i in 0..self.bms.len() {
-            if self.sweep_key[i] == Some((self.bms[i].version(), profile_v)) {
-                #[cfg(debug_assertions)]
-                {
-                    let idle = self.bms[i].check_sweep_idle(&self.profile);
-                    debug_assert!(idle, "skipped proactive sweep on exec {i} would evict");
-                }
-                continue;
+            let idle = self.bms[i].check_sweep_idle(&self.profile);
+            debug_assert!(idle, "drop pass left a victim on exec {i}");
+        }
+        self.metrics.cache.proactive_evictions += victims.len() as u64;
+        if !victims.is_empty() {
+            self.tick_dirty = true;
+        }
+        for &(e, v) in &victims {
+            let exec = ExecId(e);
+            self.data.remove_cached(v, exec);
+            self.prefetched[exec.index()].remove(&v);
+            if self.faults.enabled() {
+                self.lost_pending.push(v);
             }
-            let victims = self.bms[i].proactive_sweep(&self.profile);
-            self.sweep_key[i] = Some((self.bms[i].version(), profile_v));
-            self.metrics.cache.proactive_evictions += victims.len() as u64;
-            if !victims.is_empty() {
-                self.tick_dirty = true;
-            }
-            for v in victims {
-                self.data.remove_cached(v, ExecId(i as u32));
-                self.prefetched[i].remove(&v);
-                if self.faults.enabled() {
-                    self.lost_pending.push(v);
-                }
-                if self.trace_on {
-                    self.trace_evict(v, ExecId(i as u32), EvictReason::Proactive);
-                }
+            if self.trace_on {
+                self.trace_evict(v, exec, EvictReason::Proactive);
             }
         }
+        victims.clear();
+        self.drop_victims = victims;
     }
 
     /// The first block of the node ranking `order` that fits executor
@@ -1395,26 +1419,45 @@ impl Simulation {
         self.prefetch_fit(i, order).is_none()
     }
 
-    /// Oracle for a tick that took `tick_dirty` clear: every executor's
-    /// sweep would be skipped by its `sweep_key` and drop nothing, and its
-    /// prefetch evaluation would be skipped by eligibility or by its
-    /// `prefetch_key`.
+    /// Oracle for a tick that took `tick_dirty` clear: no drop change is
+    /// waiting for a pass, and every executor's prefetch evaluation would
+    /// be skipped by eligibility or by its `prefetch_key`.
     #[cfg(debug_assertions)]
-    fn check_quiet_tick(&mut self) -> bool {
+    fn check_quiet_tick(&self) -> bool {
         let profile_v = self.profile.version();
         let gen = self.data.generation();
-        (0..self.bms.len()).all(|i| {
-            let bm_v = self.bms[i].version();
-            let prefetch_idle = self.cfg.prefetch_free_frac.is_none_or(|threshold| {
-                !self.faults.usable_idx(i)
-                    || self.prefetch_inflight[i].is_some()
-                    || self.bms[i].free_frac() < threshold
-                    || self.prefetch_key[i] == Some((bm_v, profile_v, gen))
-            });
-            self.sweep_key[i] == Some((bm_v, profile_v))
-                && self.bms[i].check_sweep_idle(&self.profile)
-                && prefetch_idle
-        })
+        !self.profile.has_changes()
+            && (0..self.bms.len()).all(|i| {
+                let prefetch_idle = self.cfg.prefetch_free_frac.is_none_or(|threshold| {
+                    !self.faults.usable_idx(i)
+                        || self.prefetch_inflight[i].is_some()
+                        || self.bms[i].free_frac() < threshold
+                        || self.prefetch_key[i] == Some((self.bms[i].version(), profile_v, gen))
+                });
+                !self.bms[i].has_fresh() && prefetch_idle
+            })
+    }
+
+    /// Oracle for `prefetch_scan`'s pruned node list: the candidates
+    /// `got` drawn from `disk_by_node[node]` are exactly the from-scratch
+    /// filter over every cache-eligible block (order aside).
+    fn check_prefetch_candidates(&self, node: usize, got: &[BlockId]) -> bool {
+        let node_id = crate::topology::NodeId(node as u32);
+        let want: Vec<BlockId> = self
+            .dag
+            .rdds()
+            .iter()
+            .filter(|r| r.cached)
+            .flat_map(|r| r.blocks())
+            .filter(|&b| {
+                self.data.on_disk_at(b, node_id)
+                    && self.profile.is_live(b)
+                    && !self.data.is_cached_anywhere(b)
+            })
+            .collect();
+        let mut got = got.to_vec();
+        got.sort_unstable();
+        got == want
     }
 
     fn prefetch_scan(&mut self) {
@@ -1460,18 +1503,26 @@ impl Simulation {
             if node != cur_node {
                 cur_node = node;
                 node_buf.clear();
-                for &b in &self.disk_by_node[node] {
+                let (profile, data) = (&self.profile, &self.data);
+                // A dead block stays dead until a lineage resubmission
+                // revives it (and re-appends it), so it is pruned here.
+                self.disk_by_node[node].retain(|&b| {
+                    if !profile.is_live(b) {
+                        return false;
+                    }
                     // "prefetches the in-disk data block": only blocks not
                     // in memory anywhere — duplicating an already-cached
                     // block concentrates process-locality instead of
                     // widening it.
-                    if self.dag.rdd(b.rdd).cached
-                        && self.profile.is_live(b)
-                        && !self.data.is_cached_anywhere(b)
-                    {
+                    if !data.is_cached_anywhere(b) {
                         node_buf.push(b);
                     }
-                }
+                    true
+                });
+                debug_assert!(
+                    self.check_prefetch_candidates(node, &node_buf),
+                    "node {node}'s prefetch candidates differ from a fresh filter"
+                );
                 self.bms[i].prefetch_order(&node_buf, &self.profile, &mut order);
             }
             if unchanged {
@@ -1971,9 +2022,19 @@ impl Simulation {
             self.data.on_pending_inserted(si, k);
         }
         // The task's input reads re-enter the master's reference profile
-        // (they were removed when it finished).
+        // (they were removed when it finished). A block this revives may
+        // have been pruned from its nodes' prefetch candidates.
         for &(b, _) in self.task_inputs[si][k as usize].iter() {
+            let revived = !self.profile.is_live(b);
             self.profile.add_use(b, ps);
+            if revived && self.dag.rdd(b.rdd).cached {
+                for n in self.data.disk_nodes(b) {
+                    let list = &mut self.disk_by_node[n.index()];
+                    if !list.contains(&b) {
+                        list.push(b);
+                    }
+                }
+            }
         }
         let work = self.dag.stage(ps).task_work(k);
         self.tracker.on_task_requeued(TaskId::new(ps, k), work);

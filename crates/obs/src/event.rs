@@ -41,7 +41,7 @@ impl KillReason {
 pub enum EvictReason {
     /// Evicted by the policy to make room for an incoming block.
     Capacity,
-    /// Dropped by a proactive sweep (zero reference priority).
+    /// Dropped proactively (zero reference priority).
     Proactive,
     /// Destroyed by a fault (crash wiping the cache, injected loss).
     Fault,

@@ -314,3 +314,67 @@ fn combined_fault_kinds_recover() {
         .unwrap();
     }
 }
+
+/// A dead block pruned from its node's prefetch candidates comes back
+/// through lineage recovery. `a` writes X0 and X1 (cached, on the one
+/// node's disk) and `c` reads both, so X1 dies once `c` finishes and the
+/// next prefetch scan prunes it. The crash of the executor that ran `c`
+/// destroys `c`'s output Z (still needed by `d`) and X0, so recovery
+/// resubmits `c` (reviving X1 through `add_use`) and `a`'s task 0. X1 is
+/// on disk, live again and cached nowhere: the scan must offer it again.
+#[test]
+fn revived_block_is_prefetched_again_after_pruning() {
+    let mut b = DagBuilder::new("prefetch_revival");
+    let s1 = b.hdfs_rdd("s1", 2, 64.0);
+    let s2 = b.hdfs_rdd("s2", 1, 64.0);
+    let (_, x) = b
+        .stage("a")
+        .tasks(2)
+        .demand_cpus(1)
+        .cpu_ms(100)
+        .reads_narrow(s1)
+        .output_mb(64.0)
+        .cache_output()
+        .build();
+    let (_, z) = b
+        .stage("c")
+        .tasks(1)
+        .demand_cpus(1)
+        .cpu_ms(100)
+        .reads_wide(x)
+        .build();
+    let (_, y) = b
+        .stage("b")
+        .tasks(1)
+        .demand_cpus(1)
+        .cpu_ms(20_000)
+        .reads_narrow(s2)
+        .build();
+    let _ = b
+        .stage("d")
+        .tasks(1)
+        .demand_cpus(1)
+        .cpu_ms(100)
+        .reads_wide(z)
+        .reads_wide(y)
+        .build();
+    let dag = b.build().unwrap();
+    let mut cluster = ClusterConfig::tiny(1, 1);
+    cluster.execs_per_node = 3;
+    cluster.prefetch_free_frac = Some(0.05);
+    cluster.faults = Some(FaultPlan::none().and(
+        5_000,
+        FaultKind::ExecCrash {
+            exec: ExecId(1),
+            restart_after_ms: Some(1),
+        },
+    ));
+    let res = run_system(&dag, &cluster, &System::dagon()).result;
+    let c = &res.metrics.cache;
+    // X0 and Z were on the crashed executor's disk; `c` and `a`'s task 0
+    // ran again.
+    assert_eq!(res.metrics.faults.disk_blocks_lost, 2);
+    assert_eq!(res.metrics.faults.tasks_recomputed, 2);
+    assert_eq!((c.prefetches, c.proactive_evictions), (3, 8));
+    assert_eq!((res.jct, res.fingerprint()), (21700, 4997990354014738984));
+}
