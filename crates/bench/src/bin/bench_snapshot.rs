@@ -28,7 +28,11 @@
 //! ```
 //!
 //! Every row reports the median (`wall_ms`) and the fastest
-//! (`wall_ms_min`) of its `samples` timed runs.
+//! (`wall_ms_min`) of its `samples` timed runs, and `peak_rss_mb`: the
+//! process's peak resident set (`VmHWM` in `/proc/self/status`, `null`
+//! where that file is absent) once the row's runs are done. The peak is
+//! process-wide, so it covers every earlier row too; `--filter` one row
+//! to measure that row alone.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -59,6 +63,8 @@ struct Row {
     p99_jct_ms: Option<u64>,
     /// Jain's index over per-tenant mean JCT — multi-tenant rows only.
     jain_fairness: Option<f64>,
+    /// Process peak RSS in MiB after this row's runs.
+    peak_rss_mb: Option<f64>,
     sched: dagon_cluster::SchedulerStats,
     faults: dagon_cluster::FaultStats,
 }
@@ -116,6 +122,21 @@ fn sweep_config(p: &SweepPoint) -> ExpConfig {
     }
 }
 
+/// The process's peak resident set so far, in MiB, read from `VmHWM`;
+/// `None` where `/proc/self/status` is absent (non-Linux hosts).
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb / 1024.0)
+}
+
 /// Time `samples` runs of `run` after the caller's warm-up, checking
 /// each run's jct against the warm-up's: `(median, min)` wall ms.
 fn time_runs<T>(
@@ -170,6 +191,7 @@ fn measure(
         ns_per_decision: wall_ms * 1e6 / decisions.max(1) as f64,
         p99_jct_ms: None,
         jain_fairness: None,
+        peak_rss_mb: peak_rss_mb(),
         sched: warm.result.metrics.sched,
         faults: warm.result.metrics.faults,
     }
@@ -218,6 +240,7 @@ fn measure_tenant(name: &str, samples: usize) -> Row {
         ns_per_decision: wall_ms * 1e6 / decisions.max(1) as f64,
         p99_jct_ms: Some(warm.report.p99_jct_ms),
         jain_fairness: Some(warm.report.jain_fairness),
+        peak_rss_mb: peak_rss_mb(),
         sched: warm.result.metrics.sched,
         faults: warm.result.metrics.faults,
     }
@@ -333,13 +356,11 @@ fn main() {
              \"schedule_invocations\": {}, \"view_rebuilds\": {}, \
              \"view_deltas\": {}, \
              \"ready_list_rebuilds\": {}, \
-             \"ect_heap_pops\": {}, \"ect_heap_stale\": {}, \
              \"batches_discarded\": {}, \"assignments_discarded\": {}, \
              \"locality_queries\": {}, \
              \"index_invalidations\": {}, \"valid_level_rebuilds\": {}, \
              \"score_cache_hits\": {}, \"score_cache_misses\": {}, \
              \"score_cache_invalidations\": {}, \
-             \"slot_memo_hits\": {}, \"slot_memo_misses\": {}, \
              \"inv_index_hits\": {}, \"inv_index_updates\": {}, \
              \"inv_index_rebuilds\": {}, \
              \"exec_crashes\": {}, \"tasks_recomputed\": {}, \
@@ -355,8 +376,6 @@ fn main() {
             s.view_rebuilds,
             s.view_deltas,
             s.ready_list_rebuilds,
-            s.ect_heap_pops,
-            s.ect_heap_stale,
             s.batches_discarded,
             s.assignments_discarded,
             s.locality_queries,
@@ -365,8 +384,6 @@ fn main() {
             s.score_cache_hits,
             s.score_cache_misses,
             s.score_cache_invalidations,
-            s.slot_memo_hits,
-            s.slot_memo_misses,
             s.inv_index_hits,
             s.inv_index_updates,
             s.inv_index_rebuilds,
@@ -375,6 +392,12 @@ fn main() {
             r.faults.stage_resubmissions,
             r.faults.task_failures,
         );
+        match r.peak_rss_mb {
+            Some(mb) => {
+                let _ = write!(json, ", \"peak_rss_mb\": {mb:.1}");
+            }
+            None => json.push_str(", \"peak_rss_mb\": null"),
+        }
         if let (Some(p99), Some(jain)) = (r.p99_jct_ms, r.jain_fairness) {
             let _ = write!(
                 json,

@@ -221,17 +221,14 @@ pub struct SchedulerStats {
     pub score_cache_misses: u64,
     /// Score-memo entries discarded by generation/pending-version bumps.
     pub score_cache_invalidations: u64,
-    /// `stage_slots` queries answered from the per-(stage, exec_gen) memo
-    /// without walking the executor list.
-    pub slot_memo_hits: u64,
-    /// `stage_slots` queries that walked the executor list.
-    pub slot_memo_misses: u64,
     /// Full from-scratch builds of the incremental ready list (O(1) per
     /// run: once at startup; schedulability flips keep it current after).
     pub ready_list_rebuilds: u64,
-    /// Free-executor heap entries examined by per-round compactions.
+    /// Retired: always 0. The lazy free-executor heap it counted is
+    /// gone (the free list is kept eagerly). Kept only because
+    /// `dagon_bench` reads it by name; remove it with that reader.
     pub ect_heap_pops: u64,
-    /// Examined heap entries discarded as stale (lazy deletions realized).
+    /// Retired: always 0, like [`Self::ect_heap_pops`].
     pub ect_heap_stale: u64,
     /// Inverted-index gates that answered "no pending work at this
     /// (stage, level, executor)" — placement probes skipped outright.
@@ -441,11 +438,7 @@ impl SimResult {
             "sched/score_cache_invalidations",
             s.score_cache_invalidations,
         );
-        r.counter("sched/slot_memo_hits", s.slot_memo_hits);
-        r.counter("sched/slot_memo_misses", s.slot_memo_misses);
         r.counter("sched/ready_list_rebuilds", s.ready_list_rebuilds);
-        r.counter("sched/ect_heap_pops", s.ect_heap_pops);
-        r.counter("sched/ect_heap_stale", s.ect_heap_stale);
         r.counter("sched/inv_index_hits", s.inv_index_hits);
         r.counter("sched/inv_index_updates", s.inv_index_updates);
         r.counter("sched/inv_index_rebuilds", s.inv_index_rebuilds);

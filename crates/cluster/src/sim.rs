@@ -34,7 +34,7 @@ use crate::pending::PendingSet;
 use crate::refprofile::RefProfile;
 use crate::scheduler::{Assignment, Scheduler};
 use crate::topology::{ExecId, Topology};
-use crate::view::{ClusterView, SimView, SlotMemo, StageRuntime, TaskView};
+use crate::view::{ClusterView, SimView, StageRuntime, TaskView};
 
 /// Hard ceiling on simulated time; reaching it means the configuration can
 /// never finish (e.g. a task demand exceeding every executor's capacity).
@@ -73,7 +73,7 @@ struct RunningAttempt {
 }
 
 /// One simulation run in progress.
-// lint: incremental(cview, mutators = [handle, launch, do_schedule, teardown_attempt, complete_stage, fail_attempt, requeue_task, exec_crash, exec_restart, resubmit_task, with_jobs, admit_job, reject_job], via = [apply, init_ready_list, set_stage_schedulable, compact_free_execs], oracle = check_consistency)
+// lint: incremental(cview, mutators = [handle, launch, do_schedule, teardown_attempt, complete_stage, fail_attempt, requeue_task, exec_crash, exec_restart, resubmit_task, with_jobs, admit_job, reject_job], via = [apply, init_ready_list, set_stage_schedulable], oracle = check_consistency)
 // lint: incremental(data, mutators = [with_jobs, handle, launch, finish_task, complete_stage, proactive_drops, prefetch_arrive, exec_crash, block_loss, requeue_task, resubmit_task, admit_job, reject_job], via = [add_disk, add_cached, remove_cached, remove_disk, on_pending_removed, on_pending_inserted], oracle = check_inv_consistency)
 // lint: incremental(jobs, mutators = [with_jobs, run, job_arrival, admit_job, reject_job, complete_stage, resubmit_task, launch, teardown_attempt], via = [on_arrival, admit_queued, on_stage_complete, on_stage_reopened, on_cores_consumed, on_cores_released], oracle = check_consistency)
 // lint: incremental(prefetch_key, mutators = [prefetch_scan], init = [new], oracle = check_prefetch_idle)
@@ -173,8 +173,6 @@ pub struct Simulation {
     /// crash destroyed. Drained between scheduler batches; only populated
     /// when faults are enabled.
     lost_pending: Vec<BlockId>,
-    /// Run-lifetime `stage_slots` memo handed to every [`SimView`].
-    slot_memo: SlotMemo,
     /// Reused `prefetch_scan` candidate buffer (the per-exec-per-tick
     /// collect was a measured allocation hot spot).
     prefetch_buf: Vec<BlockId>,
@@ -279,7 +277,6 @@ impl Simulation {
         }
         let faults = FaultRuntime::new(cfg.faults.clone(), n_exec);
         let narrow_mb = crate::view::narrow_input_table(&dag);
-        let slot_memo = SlotMemo::new(dag.num_stages());
         let mut cview = ClusterView::new(n_exec, cfg.exec_capacity);
         cview.init_ready_list(live);
         Self {
@@ -322,7 +319,6 @@ impl Simulation {
             outputs_by_exec: vec![Vec::new(); n_exec],
             lost_pending: Vec::new(),
             producer_of_rdd,
-            slot_memo,
             prefetch_buf: Vec::new(),
             prefetch_node_buf: Vec::new(),
             sink: Box::new(NullSink),
@@ -429,11 +425,7 @@ impl Simulation {
         self.metrics.sched.score_cache_hits = is.score_cache_hits;
         self.metrics.sched.score_cache_misses = is.score_cache_misses;
         self.metrics.sched.score_cache_invalidations = is.score_cache_invalidations;
-        self.metrics.sched.slot_memo_hits = self.slot_memo.hits();
-        self.metrics.sched.slot_memo_misses = self.slot_memo.misses();
         self.metrics.sched.ready_list_rebuilds = self.cview.ready_list_rebuilds();
-        self.metrics.sched.ect_heap_pops = self.cview.ect_heap_pops();
-        self.metrics.sched.ect_heap_stale = self.cview.ect_heap_stale();
         self.metrics.sched.inv_index_hits = is.inv_index_hits;
         self.metrics.sched.inv_index_updates = is.inv_index_updates;
         self.metrics.sched.inv_index_rebuilds = is.inv_index_rebuilds;
@@ -681,11 +673,6 @@ impl Simulation {
         }
         loop {
             self.metrics.sched.schedule_invocations += 1;
-            self.cview.compact_free_execs();
-            debug_assert!(
-                self.cview.check_free_consistency(),
-                "lazy free-executor heap drifted from executor scan"
-            );
             let assignments = {
                 let view = SimView {
                     now: self.now,
@@ -699,11 +686,10 @@ impl Simulation {
                     index: &self.data,
                     metrics: &self.metrics,
                     narrow_mb: &self.narrow_mb,
-                    exec_gen: self.cview.exec_gen(),
-                    cap_gen: self.cview.cap_gen(),
+                    usable_execs: self.cview.usable_execs(),
+                    exec_capacity: self.cview.exec_capacity(),
                     ready: self.cview.ready_stages(),
                     free_execs: self.cview.free_execs(),
-                    slot_memo: &self.slot_memo,
                     tenant_cores: self.jobs.as_ref().map_or(&[], |j| j.tenant_cores()),
                     tenant_of_stage: self.jobs.as_ref().map_or(&[], |j| j.stage_tenants()),
                 };

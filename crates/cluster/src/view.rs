@@ -3,20 +3,17 @@
 //! ready TaskSets, pending tasks and their locality per executor, free
 //! executor resources, and per-stage runtime statistics.
 //!
-//! Locality questions are answered by the [`LocalityIndex`] (memoized,
-//! generation-invalidated) instead of rescanning the block registry, and
-//! every pending-task query is *claims-aware*: it takes a
-//! [`ScheduleShadow`] recording the assignments already picked in the
-//! current batch, so one `schedule` call can fill every free slot while
-//! seeing exactly the state the sequential one-pick-per-call loop would
-//! have seen.
+//! Locality questions are answered by the [`LocalityIndex`] (residency
+//! bitsets and inverted pending counts, kept current by deltas) instead
+//! of rescanning the block registry, and every pending-task query is
+//! *claims-aware*: it takes a [`ScheduleShadow`] recording the
+//! assignments already picked in the current batch, so one `schedule`
+//! call can fill every free slot while seeing exactly the state the
+//! sequential one-pick-per-call loop would have seen.
 
 // ExecId/StageId mints from bounded enumerations; dagon-lint rule D5
 // (narrow-cast) independently guards tick/size narrowing in this crate.
 #![allow(clippy::cast_possible_truncation)]
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use dagon_dag::{JobDag, Resources, SimTime, StageId};
 
@@ -42,9 +39,9 @@ pub struct ExecView {
 /// sim events (task launch/finish/fail, executor crash/restart/blacklist)
 /// instead of being rebuilt from the simulator's ledgers on every
 /// scheduling opportunity. Policies read the effective [`ExecView`] slice
-/// without cloning; an `exec_gen` generation counter stamps every change
-/// so derived caches (stage slot capacities, placement-score memos) can
-/// key their validity on it.
+/// without cloning. Every piece of derived state — the free-executor list
+/// and the usable-executor count — is updated eagerly inside [`Self::apply`],
+/// so it is current after every delta (DESIGN.md §24).
 ///
 /// Two ledgers are kept per executor: `real_free`, the authoritative
 /// resource accounting that keeps absorbing releases even while the
@@ -54,12 +51,11 @@ pub struct ExecView {
 // lint: incremental(execs, mutators = [apply], oracle = check_consistency)
 // lint: incremental(real_free, mutators = [apply], oracle = check_consistency)
 // lint: incremental(usable, mutators = [apply], oracle = check_consistency)
+// lint: incremental(usable_execs, mutators = [apply], oracle = check_consistency)
+// lint: incremental(free_list, mutators = [apply], oracle = check_consistency)
 // lint: incremental(ready_list, mutators = [init_ready_list, set_stage_schedulable], oracle = check_ready_consistency)
 // lint: incremental(stage_on, mutators = [init_ready_list, set_stage_schedulable], oracle = check_ready_consistency)
-// lint: incremental(free_heap, mutators = [apply, compact_free_execs], oracle = check_free_consistency)
-// lint: incremental(free_since, mutators = [apply], oracle = check_free_consistency)
-// lint: incremental(free_list, mutators = [compact_free_execs], oracle = check_free_consistency)
-// lint: hotpath(apply, set_stage_schedulable, compact_free_execs)
+// lint: hotpath(apply, set_stage_schedulable)
 #[derive(Clone, Debug)]
 pub struct ClusterView {
     /// Effective per-executor views (dead/blacklisted execs zeroed).
@@ -67,18 +63,13 @@ pub struct ClusterView {
     /// Authoritative free resources, tracked through down periods.
     real_free: Vec<Resources>,
     usable: Vec<bool>,
+    /// Number of `true` entries in `usable`.
+    usable_execs: u32,
     capacity: Resources,
-    /// Bumped on every applied delta.
-    exec_gen: u64,
     /// Deltas applied since construction.
     deltas: u64,
     /// Full from-scratch (re)builds — O(1) per run by design.
     rebuilds: u64,
-    /// Capacity-only generation: bumped only when some executor's
-    /// *capacity* changes (`ExecDown`/`ExecUp`). `stage_slots` depends
-    /// only on capacities, so the [`SlotMemo`] keys on this instead of
-    /// `exec_gen` and survives all consume/release traffic.
-    cap_gen: u64,
     /// Incrementally maintained schedulable-stage ids (ascending),
     /// mirrored by the membership flags in `stage_on`. Installed once by
     /// [`Self::init_ready_list`]; kept current by
@@ -88,38 +79,16 @@ pub struct ClusterView {
     stage_on: Vec<bool>,
     /// Full ready-list (re)builds — O(1) per run by design.
     ready_rebuilds: u64,
-    /// Lazy min-heap of free executors as `Reverse((exec, stamp))`. An
-    /// entry is pushed when an executor *becomes* free (no free cpus →
-    /// some, including `ExecUp`) and never removed in place: entries whose
-    /// stamp no longer matches `free_since` are skipped (lazy deletion)
-    /// when [`Self::compact_free_execs`] drains the heap, so crash and
-    /// blacklist transitions from the fault path need no heap surgery.
-    free_heap: BinaryHeap<Reverse<(u32, u64)>>,
-    /// Per executor: the `exec_gen` at which it last became free, or
-    /// [`NOT_FREE`] while it has no effective free cpus (busy or down).
-    free_since: Vec<u64>,
-    /// Ascending ids of currently-free executors, valid after the last
-    /// [`Self::compact_free_execs`].
+    /// Ascending ids of executors with effective free cpus. [`Self::apply`]
+    /// inserts or removes the one executor a delta touches when it enters
+    /// or leaves the free set.
     free_list: Vec<u32>,
-    /// Bumped on every free-set membership transition; lets a compaction
-    /// return immediately when the set hasn't changed since the last one
-    /// (the common case: most consume/release traffic moves cpu counts
-    /// without emptying or refilling an executor).
-    free_set_gen: u64,
-    /// `free_set_gen` as of the last compaction.
-    compacted_gen: u64,
-    heap_pops: u64,
-    heap_stale: u64,
 }
-
-/// `free_since` sentinel for an executor with no free cpus.
-const NOT_FREE: u64 = u64::MAX;
 
 impl ClusterView {
     /// Build the initial view: all executors usable and fully free.
     /// Counts as the run's one full rebuild.
     pub fn new(n_exec: usize, capacity: Resources) -> Self {
-        let init_free = capacity.cpus > 0;
         Self {
             execs: (0..n_exec)
                 .map(|i| ExecView {
@@ -130,37 +99,26 @@ impl ClusterView {
                 .collect(),
             real_free: vec![capacity; n_exec],
             usable: vec![true; n_exec],
+            usable_execs: n_exec as u32,
             capacity,
-            exec_gen: 0,
             deltas: 0,
             rebuilds: 1,
-            cap_gen: 0,
             ready_list: Vec::new(),
             stage_on: Vec::new(),
             ready_rebuilds: 0,
-            free_heap: if init_free {
-                (0..n_exec).map(|i| Reverse((i as u32, 0))).collect()
-            } else {
-                BinaryHeap::new()
-            },
-            free_since: vec![if init_free { 0 } else { NOT_FREE }; n_exec],
-            free_list: if init_free {
+            free_list: if capacity.cpus > 0 {
                 (0..n_exec as u32).collect()
             } else {
                 Vec::new()
             },
-            free_set_gen: 0,
-            compacted_gen: 0,
-            heap_pops: 0,
-            heap_stale: 0,
         }
     }
 
     /// Apply one delta. The effective view entry is updated in place; no
-    /// other executor's entry is touched.
-    // lint: allow(panic-surface): every index is an ExecId minted by the topology, < n_exec by construction
+    /// other executor's entry is touched, and the free list moves by at
+    /// most one insert or remove.
+    // lint: allow(panic-surface): every index is an ExecId minted by the topology, < n_exec by construction; `pos` comes from binary_search on the list itself
     pub fn apply(&mut self, d: ViewDelta) {
-        self.exec_gen += 1;
         self.deltas += 1;
         let idx = match d {
             ViewDelta::Consume { exec, .. }
@@ -170,43 +128,43 @@ impl ClusterView {
         };
         let was_free = self.execs[idx].free.cpus > 0;
         match d {
-            ViewDelta::Consume { exec, demand } => {
-                let i = exec.index();
-                self.real_free[i] = self.real_free[i].minus(demand);
-                if self.usable[i] {
-                    self.execs[i].free = self.real_free[i];
+            ViewDelta::Consume { demand, .. } => {
+                self.real_free[idx] = self.real_free[idx].minus(demand);
+                if self.usable[idx] {
+                    self.execs[idx].free = self.real_free[idx];
                 }
             }
-            ViewDelta::Release { exec, demand } => {
-                let i = exec.index();
-                self.real_free[i] = self.real_free[i].plus(demand);
-                if self.usable[i] {
-                    self.execs[i].free = self.real_free[i];
+            ViewDelta::Release { demand, .. } => {
+                self.real_free[idx] = self.real_free[idx].plus(demand);
+                if self.usable[idx] {
+                    self.execs[idx].free = self.real_free[idx];
                 }
             }
-            ViewDelta::ExecDown { exec } => {
-                let i = exec.index();
-                self.usable[i] = false;
-                self.execs[i].free = Resources::ZERO;
-                self.execs[i].capacity = Resources::ZERO;
-                self.cap_gen += 1;
+            ViewDelta::ExecDown { .. } => {
+                if self.usable[idx] {
+                    self.usable_execs -= 1;
+                }
+                self.usable[idx] = false;
+                self.execs[idx].free = Resources::ZERO;
+                self.execs[idx].capacity = Resources::ZERO;
             }
-            ViewDelta::ExecUp { exec } => {
-                let i = exec.index();
-                self.usable[i] = true;
-                self.execs[i].free = self.real_free[i];
-                self.execs[i].capacity = self.capacity;
-                self.cap_gen += 1;
+            ViewDelta::ExecUp { .. } => {
+                if !self.usable[idx] {
+                    self.usable_execs += 1;
+                }
+                self.usable[idx] = true;
+                self.execs[idx].free = self.real_free[idx];
+                self.execs[idx].capacity = self.capacity;
             }
         }
         let now_free = self.execs[idx].free.cpus > 0;
         if now_free != was_free {
-            self.free_set_gen += 1;
-            if now_free {
-                self.free_since[idx] = self.exec_gen;
-                self.free_heap.push(Reverse((idx as u32, self.exec_gen)));
-            } else {
-                self.free_since[idx] = NOT_FREE;
+            match (self.free_list.binary_search(&(idx as u32)), now_free) {
+                (Err(pos), true) => self.free_list.insert(pos, idx as u32),
+                (Ok(pos), false) => {
+                    self.free_list.remove(pos);
+                }
+                _ => debug_assert!(false, "free-list membership out of sync with free cpus"),
             }
         }
     }
@@ -229,10 +187,14 @@ impl ClusterView {
         self.usable[e.index()]
     }
 
-    /// Generation stamp: changes iff any executor's effective view may
-    /// have changed since it was last read.
-    pub fn exec_gen(&self) -> u64 {
-        self.exec_gen
+    /// Executors currently usable (not down or blacklisted).
+    pub fn usable_execs(&self) -> u32 {
+        self.usable_execs
+    }
+
+    /// Capacity of every usable executor (a down one has capacity zero).
+    pub fn exec_capacity(&self) -> Resources {
+        self.capacity
     }
 
     pub fn deltas_applied(&self) -> u64 {
@@ -266,14 +228,26 @@ impl ClusterView {
             .collect()
     }
 
-    /// Debug-build invariant: incremental == from-scratch.
-    pub fn check_consistency(&self) -> bool {
-        self.execs == self.rebuilt_execs()
+    /// From-scratch free-executor scan — the free list's oracle.
+    pub fn rebuilt_free_execs(&self) -> Vec<u32> {
+        self.execs
+            .iter()
+            .filter(|e| e.free.cpus > 0)
+            .map(|e| e.id.0)
+            .collect()
     }
 
-    /// Capacity-only generation stamp (see the `cap_gen` field).
-    pub fn cap_gen(&self) -> u64 {
-        self.cap_gen
+    /// Debug-build invariant: every piece of incremental state ==
+    /// from-scratch.
+    pub fn check_consistency(&self) -> bool {
+        self.execs == self.rebuilt_execs()
+            && self.free_list == self.rebuilt_free_execs()
+            && self.usable_execs as usize == self.usable.iter().filter(|&&u| u).count()
+    }
+
+    /// Ascending ids of executors with free cpus.
+    pub fn free_execs(&self) -> &[u32] {
+        &self.free_list
     }
 
     // --- incremental ready list ---------------------------------------
@@ -334,68 +308,6 @@ impl ClusterView {
     /// Debug-build invariant: incremental ready list == from-scratch scan.
     pub fn check_ready_consistency(&self, stages: &[StageRuntime]) -> bool {
         self.ready_list == Self::rebuilt_ready_list(stages)
-    }
-
-    // --- lazy free-executor heap --------------------------------------
-
-    /// Drain the heap into the ascending free-executor list, skipping
-    /// stale entries (stamp superseded because the executor stopped being
-    /// free — consumed full, crashed, or blacklisted — since the push).
-    /// Surviving entries are pushed back, so the amortized cost per
-    /// scheduling round is O(free · log free) plus the stale backlog — and
-    /// zero when no executor entered or left the free set since the last
-    /// compaction (the typical round).
-    // lint: allow(panic-surface): heap entries hold ExecIds < n_exec; `free_since` is sized to n_exec at build
-    pub fn compact_free_execs(&mut self) {
-        if self.compacted_gen == self.free_set_gen {
-            return;
-        }
-        self.compacted_gen = self.free_set_gen;
-        self.free_list.clear();
-        while let Some(Reverse((e, stamp))) = self.free_heap.pop() {
-            self.heap_pops += 1;
-            if self.free_since[e as usize] == stamp {
-                self.free_list.push(e);
-            } else {
-                self.heap_stale += 1;
-            }
-        }
-        self.free_heap.extend(
-            self.free_list
-                .iter()
-                .map(|&e| Reverse((e, self.free_since[e as usize]))),
-        );
-    }
-
-    /// Ascending ids of executors with free cpus, as of the last
-    /// [`Self::compact_free_execs`].
-    pub fn free_execs(&self) -> &[u32] {
-        &self.free_list
-    }
-
-    /// Heap entries examined by compactions.
-    pub fn ect_heap_pops(&self) -> u64 {
-        self.heap_pops
-    }
-
-    /// Examined entries discarded as stale (lazy deletions realized).
-    pub fn ect_heap_stale(&self) -> u64 {
-        self.heap_stale
-    }
-
-    /// From-scratch free-executor scan — the heap's oracle.
-    pub fn rebuilt_free_execs(&self) -> Vec<u32> {
-        self.execs
-            .iter()
-            .filter(|e| e.free.cpus > 0)
-            .map(|e| e.id.0)
-            .collect()
-    }
-
-    /// Debug-build invariant (valid after a compaction): heap-compacted
-    /// free list == from-scratch scan.
-    pub fn check_free_consistency(&self) -> bool {
-        self.free_list == self.rebuilt_free_execs()
     }
 }
 
@@ -512,63 +424,6 @@ impl ScheduleShadow {
     }
 }
 
-/// Run-lifetime memo for [`SimView::stage_slots`], keyed on the view's
-/// *capacity* generation stamp (`cap_gen`). SensitivityAware consults the
-/// stage slot capacity (inside `earliest_completion_ms`) for every
-/// candidate pick; the answer depends only on executor capacities, which
-/// change only on `ExecDown`/`ExecUp`, so the walk over all executors
-/// happens once per stage per capacity change — consume/release traffic
-/// never invalidates it.
-/// Interior-mutable (`Cell`s) because `SimView` hands out shared borrows.
-#[derive(Debug, Default)]
-pub struct SlotMemo {
-    /// Per stage: `(cap_gen + 1, slots)`; 0 marks an empty entry.
-    entries: std::cell::RefCell<Vec<(u64, u32)>>,
-    hits: std::cell::Cell<u64>,
-    misses: std::cell::Cell<u64>,
-}
-
-impl SlotMemo {
-    pub fn new(num_stages: usize) -> Self {
-        Self {
-            entries: std::cell::RefCell::new(vec![(0, 0); num_stages]),
-            hits: std::cell::Cell::new(0),
-            misses: std::cell::Cell::new(0),
-        }
-    }
-
-    fn lookup(&self, stage: usize, gen: u64) -> Option<u32> {
-        let e = self.entries.borrow();
-        match e.get(stage) {
-            Some(&(stamp, slots)) if stamp == gen + 1 => {
-                self.hits.set(self.hits.get() + 1);
-                Some(slots)
-            }
-            _ => {
-                self.misses.set(self.misses.get() + 1);
-                None
-            }
-        }
-    }
-
-    fn store(&self, stage: usize, gen: u64, slots: u32) {
-        let mut e = self.entries.borrow_mut();
-        if stage < e.len() {
-            e[stage] = (gen + 1, slots);
-        }
-    }
-
-    /// Queries answered from the memo.
-    pub fn hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Queries that had to walk the executor list.
-    pub fn misses(&self) -> u64 {
-        self.misses.get()
-    }
-}
-
 /// The scheduler's window into the simulation. Construct-by-borrow: cheap,
 /// created fresh for every `schedule` call.
 pub struct SimView<'a> {
@@ -586,22 +441,16 @@ pub struct SimView<'a> {
     /// [`narrow_input_table`]) — static data, recomputing it inside every
     /// `est_finish_ms` call was a measured hot-path cost.
     pub narrow_mb: &'a [f64],
-    /// Generation stamp of the [`ClusterView`] behind `execs`: changes iff
-    /// any executor's effective view may have changed.
-    pub exec_gen: u64,
-    /// Capacity-only generation stamp (bumps on `ExecDown`/`ExecUp`),
-    /// keying the [`SlotMemo`]: `stage_slots` is constant within one
-    /// capacity generation.
-    pub cap_gen: u64,
+    /// Executors currently usable (see [`ClusterView::usable_execs`]).
+    pub usable_execs: u32,
+    /// Capacity of every usable executor; a down one has capacity zero.
+    pub exec_capacity: Resources,
     /// Schedulable stage ids, ascending — the [`ClusterView`]'s
     /// incrementally maintained ready list.
     pub ready: &'a [u32],
-    /// Ascending ids of executors with free cpus, compacted from the
-    /// [`ClusterView`]'s lazy free-executor heap at the top of this
-    /// scheduling round.
+    /// Ascending ids of executors with free cpus — the [`ClusterView`]'s
+    /// eagerly maintained free list.
     pub free_execs: &'a [u32],
-    /// Run-lifetime `stage_slots` memo (see [`SlotMemo`]).
-    pub slot_memo: &'a SlotMemo,
     /// Per-tenant vCPUs currently consumed by running attempts — the
     /// hierarchical fair-share signal. Empty outside online multi-tenant
     /// mode (no [`crate::jobs::JobsRuntime`] installed).
@@ -803,21 +652,13 @@ impl<'a> SimView<'a> {
         (ptn / tp).ceil() * td
     }
 
-    /// Cluster-wide concurrent-task capacity for stage `s`'s demand.
-    /// Memoized per `(stage, cap_gen)`: the executor walk only runs on
-    /// the first query after a *capacity* change (`ExecDown`/`ExecUp`).
+    /// Cluster-wide concurrent-task capacity for stage `s`'s demand: the
+    /// executor walk `Σ_e capacity_e.capacity_for(demand)` in one multiply.
+    /// Every usable executor has the same capacity and a down one has
+    /// capacity zero, which fits no task because `DagBuilder` rejects
+    /// zero-CPU demands.
     pub fn stage_slots(&self, s: StageId) -> u32 {
-        if let Some(slots) = self.slot_memo.lookup(s.index(), self.cap_gen) {
-            return slots;
-        }
-        let demand = self.dag.stage(s).demand;
-        let slots = self
-            .execs
-            .iter()
-            .map(|e| e.capacity.capacity_for(demand))
-            .sum();
-        self.slot_memo.store(s.index(), self.cap_gen, slots);
-        slots
+        self.usable_execs * self.exec_capacity.capacity_for(self.dag.stage(s).demand)
     }
 
     /// Total MiB of narrow input one task of `s` reads (its locality
@@ -849,7 +690,6 @@ mod tests {
         metrics: Metrics,
         cost: CostModel,
         narrow_mb: Vec<f64>,
-        slot_memo: SlotMemo,
         ready: Vec<u32>,
         free_execs: Vec<u32>,
     }
@@ -896,7 +736,6 @@ mod tests {
         Fixture {
             metrics: Metrics::new(dag.num_stages(), 4, false),
             narrow_mb: narrow_input_table(&dag),
-            slot_memo: SlotMemo::new(dag.num_stages()),
             dag,
             topo,
             index,
@@ -922,11 +761,10 @@ mod tests {
             index: &f.index,
             metrics: &f.metrics,
             narrow_mb: &f.narrow_mb,
-            exec_gen: 0,
-            cap_gen: 0,
+            usable_execs: 4,
+            exec_capacity: dagon_dag::Resources::new(4, 8192),
             ready: &f.ready,
             free_execs: &f.free_execs,
-            slot_memo: &f.slot_memo,
             tenant_cores: &[],
             tenant_of_stage: &[],
         }
@@ -1034,27 +872,6 @@ mod tests {
     }
 
     #[test]
-    fn stage_slots_memo_hits_within_a_generation() {
-        let f = fixture();
-        let v = view(&f);
-        let first = v.stage_slots(StageId(0));
-        let second = v.stage_slots(StageId(0));
-        assert_eq!(first, second);
-        assert_eq!(f.slot_memo.misses(), 1, "one cold walk");
-        assert_eq!(f.slot_memo.hits(), 1, "second query memoized");
-        // Consume/release traffic (exec_gen) does NOT invalidate; only a
-        // capacity generation does.
-        let mut v2 = view(&f);
-        v2.exec_gen = 7;
-        assert_eq!(v2.stage_slots(StageId(0)), first);
-        assert_eq!(f.slot_memo.hits(), 2);
-        let mut v3 = view(&f);
-        v3.cap_gen = 1;
-        assert_eq!(v3.stage_slots(StageId(0)), first);
-        assert_eq!(f.slot_memo.misses(), 2);
-    }
-
-    #[test]
     fn schedulable_stages_excludes_done_and_empty() {
         let mut f = fixture();
         assert_eq!(view(&f).schedulable_stages(), vec![StageId(0)]);
@@ -1135,61 +952,82 @@ mod tests {
     }
 
     #[test]
-    fn free_heap_tracks_busy_and_down_transitions() {
+    fn free_list_tracks_busy_and_down_transitions() {
         let cap = dagon_dag::Resources::new(2, 4096);
         let demand = dagon_dag::Resources::new(2, 2048);
         let mut cv = ClusterView::new(3, cap);
-        cv.compact_free_execs();
         assert_eq!(cv.free_execs(), &[0, 1, 2]);
-        assert!(cv.check_free_consistency());
+        assert!(cv.check_consistency());
         // Exec 1 consumed full → drops out.
         cv.apply(ViewDelta::Consume {
             exec: ExecId(1),
             demand,
         });
-        cv.compact_free_execs();
         assert_eq!(cv.free_execs(), &[0, 2]);
-        assert!(cv.check_free_consistency());
-        // Exec 2 crashes while free → its heap entry goes stale.
+        assert!(cv.check_consistency());
+        // Exec 2 crashes while free → drops out.
         cv.apply(ViewDelta::ExecDown { exec: ExecId(2) });
-        let stale_before = cv.ect_heap_stale();
-        cv.compact_free_execs();
         assert_eq!(cv.free_execs(), &[0]);
-        assert!(
-            cv.ect_heap_stale() > stale_before,
-            "stale entry not skipped"
-        );
-        assert!(cv.check_free_consistency());
+        assert!(cv.check_consistency());
+        // A release on a down executor moves only its real ledger.
+        cv.apply(ViewDelta::Consume {
+            exec: ExecId(2),
+            demand,
+        });
+        cv.apply(ViewDelta::Release {
+            exec: ExecId(2),
+            demand,
+        });
+        assert_eq!(cv.free_execs(), &[0]);
+        assert!(cv.check_consistency());
         // Release + restart bring both back, ascending.
         cv.apply(ViewDelta::Release {
             exec: ExecId(1),
             demand,
         });
         cv.apply(ViewDelta::ExecUp { exec: ExecId(2) });
-        cv.compact_free_execs();
         assert_eq!(cv.free_execs(), &[0, 1, 2]);
-        assert!(cv.check_free_consistency());
+        assert!(cv.check_consistency());
+    }
+
+    /// `stage_slots` read off a live [`ClusterView`], against the walk it
+    /// replaces.
+    fn slots_of(f: &Fixture, cv: &ClusterView) -> (u32, u32) {
+        let v = SimView {
+            execs: cv.execs(),
+            usable_execs: cv.usable_execs(),
+            exec_capacity: cv.exec_capacity(),
+            ..view(f)
+        };
+        let demand = f.dag.stage(StageId(0)).demand;
+        let walk = cv
+            .execs()
+            .iter()
+            .map(|e| e.capacity.capacity_for(demand))
+            .sum();
+        (v.stage_slots(StageId(0)), walk)
     }
 
     #[test]
-    fn cap_gen_bumps_only_on_capacity_changes() {
-        let cap = dagon_dag::Resources::new(2, 4096);
-        let demand = dagon_dag::Resources::new(1, 1024);
-        let mut cv = ClusterView::new(2, cap);
-        assert_eq!(cv.cap_gen(), 0);
+    fn stage_slots_match_the_executor_walk_across_down_and_up() {
+        let f = fixture();
+        let mut cv = ClusterView::new(4, dagon_dag::Resources::new(4, 8192));
+        // 4 execs × (4 cpus / 2 per task).
+        assert_eq!(slots_of(&f, &cv), (8, 8));
+        // Consume traffic leaves capacity alone.
         cv.apply(ViewDelta::Consume {
             exec: ExecId(0),
-            demand,
+            demand: dagon_dag::Resources::new(4, 8192),
         });
-        cv.apply(ViewDelta::Release {
-            exec: ExecId(0),
-            demand,
-        });
-        assert_eq!(cv.cap_gen(), 0, "consume/release must not bump cap_gen");
+        assert_eq!(slots_of(&f, &cv), (8, 8));
         cv.apply(ViewDelta::ExecDown { exec: ExecId(1) });
-        assert_eq!(cv.cap_gen(), 1);
+        assert_eq!(slots_of(&f, &cv), (6, 6));
+        // A repeated down (crash of a blacklisted executor) counts once.
+        cv.apply(ViewDelta::ExecDown { exec: ExecId(1) });
+        cv.apply(ViewDelta::ExecDown { exec: ExecId(3) });
+        assert_eq!(slots_of(&f, &cv), (4, 4));
         cv.apply(ViewDelta::ExecUp { exec: ExecId(1) });
-        assert_eq!(cv.cap_gen(), 2);
-        assert_eq!(cv.exec_gen(), 4);
+        assert_eq!(slots_of(&f, &cv), (6, 6));
+        assert!(cv.check_consistency());
     }
 }

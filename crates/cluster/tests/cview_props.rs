@@ -169,18 +169,31 @@ proptest! {
         prop_assert_eq!(view.rebuilds(), 1);
     }
 
-    /// Generation counter: strictly monotone, bumped exactly once per
-    /// applied delta — derived caches key on it, so a missed bump would
-    /// silently serve stale scores.
+    /// The view's derived state after every delta: the free list equals
+    /// the from-scratch scan, and the slot capacity `usable_execs ×
+    /// capacity_for(demand)` equals the walk over effective capacities,
+    /// for a CPU-bound and a memory-bound demand.
     #[test]
-    fn exec_gen_bumps_once_per_delta(steps in proptest::collection::vec(step_strategy(), 0..100)) {
+    fn free_list_and_slot_capacity_track_every_delta(
+        steps in proptest::collection::vec(step_strategy(), 0..100),
+    ) {
         let mut view = ClusterView::new(N_EXEC, CAPACITY);
         let mut model = Model::new();
         for step in &steps {
             let Some(delta) = model.lower(step) else { continue };
-            let before = view.exec_gen();
             view.apply(delta);
-            prop_assert_eq!(view.exec_gen(), before + 1);
+            prop_assert_eq!(view.free_execs(), view.rebuilt_free_execs().as_slice());
+            for demand in [Resources::new(2, 512), Resources::new(1, 2048)] {
+                let walk: u32 = view
+                    .execs()
+                    .iter()
+                    .map(|e| e.capacity.capacity_for(demand))
+                    .sum();
+                prop_assert_eq!(
+                    view.usable_execs() * view.exec_capacity().capacity_for(demand),
+                    walk
+                );
+            }
         }
     }
 }

@@ -170,8 +170,6 @@ const REGISTRY_KEYS: &[&str] = &[
     "run/total_cores",
     "sched/assignments_discarded",
     "sched/batches_discarded",
-    "sched/ect_heap_pops",
-    "sched/ect_heap_stale",
     "sched/index_invalidations",
     "sched/inv_index_hits",
     "sched/inv_index_rebuilds",
@@ -182,8 +180,6 @@ const REGISTRY_KEYS: &[&str] = &[
     "sched/score_cache_hits",
     "sched/score_cache_invalidations",
     "sched/score_cache_misses",
-    "sched/slot_memo_hits",
-    "sched/slot_memo_misses",
     "sched/valid_level_rebuilds",
     "sched/view_deltas",
     "sched/view_rebuilds",
@@ -207,11 +203,6 @@ fn metrics_registry_snapshot_on_paper_scale_run() {
     assert_eq!(num("run/jct_ms") as u64, out.result.jct);
     assert!((0.0..=1.0).contains(&num("cache/hit_ratio")));
     assert!((0.0..=1.0).contains(&num("run/cpu_utilization")));
-    // The stage-slot memo must actually absorb lookups at paper scale.
-    assert!(
-        num("sched/slot_memo_hits") > 0.0,
-        "slot memo never hit at paper scale"
-    );
     // The incremental ready list must never be rebuilt after startup.
     assert_eq!(
         num("sched/ready_list_rebuilds") as u64,
@@ -234,9 +225,6 @@ fn metrics_registry_snapshot_on_paper_scale_run() {
         num("sched/inv_index_updates") > 0.0,
         "inverted index never updated at paper scale"
     );
-    // The lazy free-executor heap must be live (pops) and actually skip
-    // stale entries under consume/release churn.
-    assert!(num("sched/ect_heap_pops") > 0.0);
     let hist = obj
         .get("run/task_duration_ms")
         .and_then(Value::as_obj)

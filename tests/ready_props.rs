@@ -1,5 +1,6 @@
-//! Differential properties for PR 6's incremental scheduling hot path:
-//! the ready list and the lazy free-executor heap on [`ClusterView`].
+//! Differential properties for the incremental scheduling hot path: the
+//! ready list and the eagerly maintained free-executor list on
+//! [`ClusterView`].
 //!
 //! Two layers of coverage:
 //!
@@ -8,11 +9,10 @@
 //!   every step against the brute-force oracles
 //!   ([`ClusterView::rebuilt_free_execs`] and a shadow-model ready set).
 //!   This reaches orderings real workloads never produce — e.g. a stage
-//!   toggled schedulable while the executor heap is full of stale entries
-//!   from a crash-restart cycle.
+//!   toggled schedulable in the middle of a crash-restart cycle.
 //! * **Sim-level**: random workloads and chaos fault plans run end-to-end.
 //!   These tests compile in the dev profile, so the simulator's own
-//!   debug assertions (`check_ready_consistency` / `check_free_consistency`
+//!   debug assertions (`check_ready_consistency` / `check_consistency`
 //!   at every scheduling opportunity) act as the differential oracle for
 //!   the full event loop; on top the properties pin determinism and the
 //!   O(1)-rebuild guarantees the CI bench guard relies on.
@@ -36,7 +36,7 @@ const CAPACITY: Resources = Resources {
 };
 
 /// Abstract step of a generated history: the cview_props delta alphabet
-/// plus schedulability flips, so ready-list and free-heap maintenance are
+/// plus schedulability flips, so ready-list and free-list maintenance are
 /// exercised *interleaved* the way the simulator drives them.
 #[derive(Clone, Debug)]
 enum Step {
@@ -59,16 +59,13 @@ enum Step {
         s: usize,
         on: bool,
     },
-    /// Drain the lazy heap into the compacted free list (what the
-    /// simulator does right before handing schedulers a view).
-    Compact,
 }
 
 /// Weighted step kinds (no `prop_oneof` in the vendored shim, so the
 /// weights are an integer draw): consume 3 / release 2 / down 1 / up 1 /
-/// flip 3 / compact 2.
+/// flip 3.
 fn step_strategy() -> impl Strategy<Value = Step> {
-    (0usize..12, 0..N_EXEC.max(N_STAGE), 1u32..=2, 128u64..=1024).prop_map(
+    (0usize..10, 0..N_EXEC.max(N_STAGE), 1u32..=2, 128u64..=1024).prop_map(
         |(kind, i, cpus, mem_mb)| match kind {
             0..=2 => Step::Consume {
                 e: i % N_EXEC,
@@ -78,11 +75,10 @@ fn step_strategy() -> impl Strategy<Value = Step> {
             3..=4 => Step::Release { e: i % N_EXEC },
             5 => Step::Down { e: i % N_EXEC },
             6 => Step::Up { e: i % N_EXEC },
-            7..=9 => Step::Flip {
+            _ => Step::Flip {
                 s: i % N_STAGE,
                 on: cpus == 1,
             },
-            _ => Step::Compact,
         },
     )
 }
@@ -171,16 +167,15 @@ impl Model {
                 self.schedulable[s] = on;
                 view.set_stage_schedulable(s, on);
             }
-            Step::Compact => view.compact_free_execs(),
         }
     }
 }
 
 proptest! {
     /// After every step of any valid interleaved history, the incremental
-    /// ready list equals the brute-force scan of the schedulable flags,
-    /// and every compaction leaves the free list equal to a from-scratch
-    /// rebuild — with exactly one ready-list build for the whole run.
+    /// ready list equals the brute-force scan of the schedulable flags and
+    /// the free list equals a from-scratch rebuild — with exactly one
+    /// ready-list build for the whole run.
     #[test]
     fn incremental_ready_and_free_match_oracles(
         steps in proptest::collection::vec(step_strategy(), 0..250),
@@ -191,34 +186,10 @@ proptest! {
         for step in &steps {
             model.drive(&mut view, step);
             prop_assert_eq!(view.ready_stages(), model.ready().as_slice());
-            view.compact_free_execs();
             prop_assert_eq!(view.free_execs(), view.rebuilt_free_execs().as_slice());
-            prop_assert!(view.check_free_consistency());
+            prop_assert!(view.check_consistency());
         }
         prop_assert_eq!(view.ready_list_rebuilds(), 1);
-        // Lazy deletion only ever skips entries, it never drops live ones:
-        // every stale skip was one of the examined pops.
-        prop_assert!(view.ect_heap_stale() <= view.ect_heap_pops());
-    }
-
-    /// Compaction is memoized on the free-set generation: a second drain
-    /// with no membership change in between examines zero heap entries.
-    #[test]
-    fn recompaction_without_membership_change_is_free(
-        steps in proptest::collection::vec(step_strategy(), 0..120),
-    ) {
-        let mut view = ClusterView::new(N_EXEC, CAPACITY);
-        view.init_ready_list(vec![false; N_STAGE]);
-        let mut model = Model::new();
-        for step in &steps {
-            model.drive(&mut view, step);
-        }
-        view.compact_free_execs();
-        let pops = view.ect_heap_pops();
-        let free: Vec<u32> = view.free_execs().to_vec();
-        view.compact_free_execs();
-        prop_assert_eq!(view.ect_heap_pops(), pops);
-        prop_assert_eq!(view.free_execs(), free.as_slice());
     }
 }
 
@@ -274,11 +245,6 @@ fn check_run(w: Workload, tasks: u32, iterations: u32, fault_seed: Option<u64>) 
         "ready list rebuilt mid-run: {w:?} tasks={tasks} iters={iterations}"
     );
     assert_eq!(s.view_rebuilds, 1, "cluster view rebuilt mid-run: {w:?}");
-    assert!(
-        s.ect_heap_pops > 0,
-        "free-executor heap never consulted: {w:?}"
-    );
-    assert!(s.ect_heap_stale <= s.ect_heap_pops);
     assert!(a
         .metrics
         .per_stage
@@ -300,9 +266,9 @@ proptest! {
         check_run(WORKLOADS[w_idx], tasks, iterations, None);
     }
 
-    /// Chaos plans — crashes, restarts, blacklists, stragglers — exercise
-    /// the lazy-deletion path (stale heap entries from dead executors)
-    /// without ever forcing a ready-list or view rebuild.
+    /// Chaos plans — crashes, restarts, blacklists, stragglers — move
+    /// executors in and out of the free list without ever forcing a
+    /// ready-list or view rebuild.
     #[test]
     fn chaos_keeps_ready_state_incremental(
         w_idx in 0usize..WORKLOADS.len(),
@@ -313,8 +279,8 @@ proptest! {
     }
 }
 
-/// Pinned: the crash-restart shape most likely to leave stale heap
-/// entries (every executor dies at least once under chaos seed 11 on CC).
+/// Pinned: a crash-restart-heavy shape (every executor dies at least
+/// once under chaos seed 11 on CC).
 #[test]
 fn chaos_regression_cc_seed11() {
     check_run(Workload::ConnectedComponent, 8, 2, Some(11));
