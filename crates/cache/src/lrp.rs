@@ -42,18 +42,11 @@ impl CachePolicy for Lrp {
         // same stage — break toward the block with fewer remaining reads,
         // so an edge RDD reread by every future superstep outlives a
         // message RDD that dies after the next one.
-        let victim = candidates
-            .iter()
-            .copied()
-            .min_by_key(|b| (profile.lrp_priority(*b), profile.lrc_count(*b), *b))?;
+        let (vk, victim) = candidates.iter().map(|&b| (profile.lrp_key(b), b)).min()?;
         // Priority-aware admission: never displace a higher-priority block
         // with a lower-priority newcomer.
-        if let Some(inc) = incoming {
-            let vk = (profile.lrp_priority(victim), profile.lrc_count(victim));
-            let ik = (profile.lrp_priority(inc), profile.lrc_count(inc));
-            if vk > ik {
-                return None;
-            }
+        if incoming.is_some_and(|inc| vk > profile.lrp_key(inc)) {
+            return None;
         }
         Some(victim)
     }

@@ -45,16 +45,11 @@ impl CachePolicy for Mrd {
         incoming: Option<BlockId>,
         profile: &RefProfile,
     ) -> Option<BlockId> {
-        let victim = candidates
-            .iter()
-            .copied()
-            .max_by_key(|b| (dist(profile, *b), *b))?;
+        let (vd, victim) = candidates.iter().map(|&b| (dist(profile, b), b)).max()?;
         // Classic distance-based admission: don't evict a nearer block to
         // admit a farther one.
-        if let Some(inc) = incoming {
-            if dist(profile, victim) < dist(profile, inc) {
-                return None;
-            }
+        if incoming.is_some_and(|inc| vd < dist(profile, inc)) {
+            return None;
         }
         Some(victim)
     }

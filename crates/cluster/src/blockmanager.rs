@@ -132,11 +132,17 @@ pub enum InsertOutcome {
 }
 
 /// One executor's storage memory.
+// lint: incremental(unpinned, mutators = [pin, unpin, try_insert, drop_block], init = [new], oracle = check_unpinned)
 pub struct BlockManager {
     capacity_mb: f64,
     used_mb: f64,
     resident: BTreeMap<BlockId, f64>,
     pinned: BTreeMap<BlockId, u32>,
+    /// The resident blocks with no pin, ascending: the eviction
+    /// candidates, kept current by one binary-searched insert or remove
+    /// per transition ([`evictable`](Self::evictable) is the from-scratch
+    /// oracle).
+    unpinned: Vec<BlockId>,
     policy: Box<dyn CachePolicy>,
     /// Bumped on every state change: a block inserted or dropped, a pin
     /// taken or released, a hit fed to the policy.
@@ -153,6 +159,7 @@ impl BlockManager {
             used_mb: 0.0,
             resident: BTreeMap::new(),
             pinned: BTreeMap::new(),
+            unpinned: Vec::new(),
             policy,
             version: 0,
             fresh: Vec::new(),
@@ -224,7 +231,13 @@ impl BlockManager {
     /// eviction candidates, mirroring Spark's block locks).
     pub fn pin(&mut self, b: BlockId) {
         if self.resident.contains_key(&b) {
-            *self.pinned.entry(b).or_insert(0) += 1;
+            let c = self.pinned.entry(b).or_insert(0);
+            *c += 1;
+            if *c == 1 {
+                if let Ok(pos) = self.unpinned.binary_search(&b) {
+                    self.unpinned.remove(pos);
+                }
+            }
             self.version += 1;
         }
     }
@@ -234,6 +247,9 @@ impl BlockManager {
             *c -= 1;
             if *c == 0 {
                 self.pinned.remove(&b);
+                if let Err(pos) = self.unpinned.binary_search(&b) {
+                    self.unpinned.insert(pos, b);
+                }
                 self.fresh.push(b);
             }
             self.version += 1;
@@ -241,7 +257,8 @@ impl BlockManager {
     }
 
     /// The unpinned resident blocks — the eviction candidates — in
-    /// ascending `BlockId` order.
+    /// ascending `BlockId` order, computed from scratch: the oracle for
+    /// the maintained list.
     pub fn evictable(&self) -> Vec<BlockId> {
         // Ascending BlockId order by construction (ordered keys).
         self.resident
@@ -249,6 +266,11 @@ impl BlockManager {
             .filter(|b| !self.pinned.contains_key(b))
             .copied()
             .collect()
+    }
+
+    /// Does the maintained evictable list equal the from-scratch one?
+    pub(crate) fn check_unpinned(&self) -> bool {
+        self.unpinned == self.evictable()
     }
 
     /// Is `b` resident and unpinned?
@@ -273,13 +295,13 @@ impl BlockManager {
         if mb > self.capacity_mb {
             return InsertOutcome::Rejected { evicted: vec![] };
         }
+        debug_assert!(self.check_unpinned(), "evictable list drifted");
         let mut evicted = Vec::new();
         while self.used_mb + mb > self.capacity_mb + 1e-9 {
-            let candidates = self.evictable();
-            if candidates.is_empty() {
+            if self.unpinned.is_empty() {
                 return InsertOutcome::Rejected { evicted };
             }
-            match self.policy.victim(&candidates, Some(b), profile) {
+            match self.policy.victim(&self.unpinned, Some(b), profile) {
                 Some(v) => {
                     self.drop_block(v);
                     evicted.push(v);
@@ -288,6 +310,9 @@ impl BlockManager {
             }
         }
         self.resident.insert(b, mb);
+        if let Err(pos) = self.unpinned.binary_search(&b) {
+            self.unpinned.insert(pos, b);
+        }
         self.used_mb += mb;
         self.policy.on_insert(b, now);
         self.version += 1;
@@ -299,7 +324,11 @@ impl BlockManager {
     fn drop_block(&mut self, b: BlockId) {
         if let Some(mb) = self.resident.remove(&b) {
             self.used_mb -= mb;
-            self.pinned.remove(&b);
+            if self.pinned.remove(&b).is_none() {
+                if let Ok(pos) = self.unpinned.binary_search(&b) {
+                    self.unpinned.remove(pos);
+                }
+            }
             self.policy.on_evict(b);
             self.version += 1;
         }
@@ -330,9 +359,8 @@ impl BlockManager {
     /// callers assert on every executor after each pass.
     #[cfg(debug_assertions)]
     pub(crate) fn check_sweep_idle(&mut self, profile: &RefProfile) -> bool {
-        let candidates = self.evictable();
         self.policy
-            .proactive_victims(&candidates, profile)
+            .proactive_victims(&self.unpinned, profile)
             .is_empty()
     }
 
@@ -457,6 +485,7 @@ impl CachePolicy for NoCache {
 mod tests {
     use super::*;
     use dagon_dag::RddId;
+    use proptest::prelude::*;
 
     /// Evicts the smallest BlockId; accepts everything.
     struct FifoTest;
@@ -635,5 +664,160 @@ mod tests {
         assert!(!bm.invalidate(blk(0, 0)));
         assert!(bm.crash_clear().is_empty());
         assert_eq!(bm.version(), v);
+    }
+
+    /// Evicts the block with the smallest scrambled id, and refuses when
+    /// the incoming block's scrambled id is smaller still: keyed choices
+    /// and refusals independent of the candidate order.
+    struct KeyedTest;
+    fn scramble(b: BlockId) -> u64 {
+        (u64::from(b.rdd.0) << 32 | u64::from(b.partition)).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 7
+    }
+    impl CachePolicy for KeyedTest {
+        fn policy_name(&self) -> &'static str {
+            "keyed-test"
+        }
+        fn victim(
+            &mut self,
+            c: &[BlockId],
+            i: Option<BlockId>,
+            _p: &RefProfile,
+        ) -> Option<BlockId> {
+            let v = c.iter().copied().min_by_key(|&b| (scramble(b), b))?;
+            match i {
+                Some(i) if scramble(i) < scramble(v) => None,
+                _ => Some(v),
+            }
+        }
+    }
+
+    /// The BlockManager before the maintained list: eviction candidates
+    /// rebuilt from the resident and pinned maps on every iteration.
+    struct RebuildModel {
+        capacity_mb: f64,
+        used_mb: f64,
+        resident: BTreeMap<BlockId, f64>,
+        pinned: BTreeMap<BlockId, u32>,
+        policy: KeyedTest,
+    }
+
+    impl RebuildModel {
+        fn evictable(&self) -> Vec<BlockId> {
+            self.resident
+                .keys()
+                .filter(|b| !self.pinned.contains_key(b))
+                .copied()
+                .collect()
+        }
+
+        fn drop_block(&mut self, b: BlockId) {
+            if let Some(mb) = self.resident.remove(&b) {
+                self.used_mb -= mb;
+                self.pinned.remove(&b);
+            }
+        }
+
+        fn try_insert(&mut self, b: BlockId, mb: f64, p: &RefProfile) -> InsertOutcome {
+            if self.resident.contains_key(&b) {
+                return InsertOutcome::AlreadyCached;
+            }
+            if mb > self.capacity_mb {
+                return InsertOutcome::Rejected { evicted: vec![] };
+            }
+            let mut evicted = Vec::new();
+            while self.used_mb + mb > self.capacity_mb + 1e-9 {
+                let candidates = self.evictable();
+                let Some(v) = self.policy.victim(&candidates, Some(b), p) else {
+                    return InsertOutcome::Rejected { evicted };
+                };
+                self.drop_block(v);
+                evicted.push(v);
+            }
+            self.resident.insert(b, mb);
+            self.used_mb += mb;
+            InsertOutcome::Inserted { evicted }
+        }
+    }
+
+    /// One generated BlockManager call on block `b` of a 12-block pool.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Insert { b: u32, mb: u32 },
+        Pin { b: u32 },
+        Unpin { b: u32 },
+        Invalidate { b: u32 },
+        CrashClear,
+    }
+
+    /// Weighted step kinds: insert 4 / pin 3 / unpin 3 / invalidate 1 /
+    /// crash 1 (out of 12 draws).
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        (0u32..12, 0u32..12, 1u32..5).prop_map(|(kind, b, mb)| match kind {
+            0..=3 => Step::Insert { b, mb: mb * 15 },
+            4..=6 => Step::Pin { b },
+            7..=9 => Step::Unpin { b },
+            10 => Step::Invalidate { b },
+            _ => Step::CrashClear,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// After every step of a random insert / pin / unpin /
+        /// invalidate / crash history, the maintained evictable list
+        /// equals the from-scratch one, and every `try_insert` evicts
+        /// and answers exactly as the rebuild-per-eviction model does.
+        #[test]
+        fn unpinned_list_matches_rebuilt_evictable_set(
+            steps in proptest::collection::vec(step_strategy(), 1..150),
+        ) {
+            let p = RefProfile::default();
+            let mut bm = BlockManager::new(100.0, Box::new(KeyedTest));
+            let mut model = RebuildModel {
+                capacity_mb: 100.0,
+                used_mb: 0.0,
+                resident: BTreeMap::new(),
+                pinned: BTreeMap::new(),
+                policy: KeyedTest,
+            };
+            for (t, &step) in steps.iter().enumerate() {
+                match step {
+                    Step::Insert { b, mb } => {
+                        let b = blk(0, b);
+                        let got = bm.try_insert(b, f64::from(mb), t as u64, &p);
+                        let want = model.try_insert(b, f64::from(mb), &p);
+                        prop_assert_eq!(got, want, "insert at step {}", t);
+                    }
+                    Step::Pin { b } => {
+                        bm.pin(blk(0, b));
+                        if model.resident.contains_key(&blk(0, b)) {
+                            *model.pinned.entry(blk(0, b)).or_insert(0) += 1;
+                        }
+                    }
+                    Step::Unpin { b } => {
+                        bm.unpin(blk(0, b));
+                        if let Some(c) = model.pinned.get_mut(&blk(0, b)) {
+                            *c -= 1;
+                            if *c == 0 {
+                                model.pinned.remove(&blk(0, b));
+                            }
+                        }
+                    }
+                    Step::Invalidate { b } => {
+                        bm.invalidate(blk(0, b));
+                        model.drop_block(blk(0, b));
+                    }
+                    Step::CrashClear => {
+                        bm.crash_clear();
+                        model.resident.clear();
+                        model.pinned.clear();
+                        model.used_mb = 0.0;
+                    }
+                }
+                prop_assert_eq!(&bm.unpinned, &bm.evictable(), "step {} ({:?})", t, step);
+                prop_assert_eq!(&bm.unpinned, &model.evictable(), "step {} ({:?})", t, step);
+            }
+        }
     }
 }

@@ -15,18 +15,29 @@ pub struct StageRef {
     pub stage: StageId,
 }
 
+/// One block's slot in the [`RefProfile`] arena: `len` live entries at
+/// `start`, room for `cap`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
 /// Per-block future-use registry plus the scheduler-facing stage state the
 /// DAG-aware cache policies key off.
 #[derive(Clone, Debug, Default)]
 pub struct RefProfile {
-    /// Remaining reads of each block, dense-indexed by
-    /// `offsets[rdd] + partition`: one entry per *unfinished reading task*
-    /// (so LRC's reference count falls as tasks finish, and a block whose
-    /// readers all completed ends up empty — Fig. 6's deletion). The flat
-    /// layout makes `is_live`/`lrp_priority`/`mrd_distance` O(1) + O(uses)
-    /// array reads; with the former `BTreeMap` keying, the tree walk per
-    /// lookup dominated every per-tick prefetch/sweep scan at paper scale.
-    uses: Vec<Vec<StageRef>>,
+    /// Remaining reads of every block, in one arena: block `i`'s entries
+    /// are `refs[spans[i].start..][..spans[i].len]`, one per *unfinished
+    /// reading task* (so LRC's reference count falls as tasks finish, and
+    /// a block whose readers all completed ends up empty — Fig. 6's
+    /// deletion). Contiguous slices make `is_live`/`lrp_key`/`mrd_distance`
+    /// one index plus one short walk, with no per-block allocation.
+    refs: Vec<StageRef>,
+    /// Each block's slice of `refs`, dense-indexed by
+    /// `offsets[rdd] + partition`.
+    spans: Vec<Span>,
     /// Flat-index base per RDD id (parallel to the DAG's RDD table).
     offsets: Vec<u32>,
     /// Partition count per RDD id, bounding each RDD's flat range.
@@ -99,7 +110,10 @@ impl RefProfile {
 
     #[inline]
     fn get(&self, b: BlockId) -> Option<&[StageRef]> {
-        self.idx(b).map(|i| self.uses[i].as_slice())
+        self.idx(b).map(|i| {
+            let sp = self.spans[i];
+            &self.refs[sp.start as usize..][..sp.len as usize]
+        })
     }
 
     /// The block at flat index `i` (inverse of `idx`).
@@ -138,11 +152,11 @@ impl RefProfile {
     pub(crate) fn has_changes(&self) -> bool {
         self.rebuilt || !self.changed.is_empty() || !self.crossed.is_empty()
     }
+
     /// Rebuild the use map from scratch.
     ///
     /// * `task_done(stage, index)` — has that task finished?
     /// * `stage_done(stage)` — has the whole stage finished?
-    /// * `pv` — current priority values (pass zeros when no tracker exists).
     pub fn rebuild(
         &mut self,
         dag: &JobDag,
@@ -160,36 +174,26 @@ impl RefProfile {
             self.counts.push(r.num_partitions);
             total += r.num_partitions;
         }
-        self.uses.iter_mut().for_each(Vec::clear);
-        self.uses.resize(total as usize, Vec::new());
-        for stage in dag.stages() {
-            if stage_done(stage.id) {
-                continue;
-            }
-            for input in &stage.inputs {
-                let rdd = dag.rdd(input.rdd);
-                let base = self.offsets[rdd.id.index()] as usize;
-                match input.kind {
-                    DepKind::Narrow => {
-                        for k in 0..stage.num_tasks {
-                            if !task_done(stage.id, k) {
-                                self.uses[base + k as usize].push(StageRef { stage: stage.id });
-                            }
-                        }
-                    }
-                    DepKind::Wide => {
-                        // Block j is read by task j % num_tasks (the
-                        // simulator's round-robin shuffle split).
-                        for j in 0..rdd.num_partitions {
-                            let k = j % stage.num_tasks;
-                            if !task_done(stage.id, k) {
-                                self.uses[base + j as usize].push(StageRef { stage: stage.id });
-                            }
-                        }
-                    }
-                }
-            }
+        // Two passes over the same walk: count each block's uses to lay
+        // out the arena, then fill it in the same push order.
+        self.spans.clear();
+        self.spans.resize(total as usize, Span::default());
+        for_each_use(dag, &self.offsets, task_done, stage_done, |i, _| {
+            self.spans[i].cap += 1;
+        });
+        let mut start = 0u32;
+        for sp in &mut self.spans {
+            sp.start = start;
+            start += sp.cap;
         }
+        self.refs.clear();
+        self.refs
+            .resize(start as usize, StageRef { stage: StageId(0) });
+        for_each_use(dag, &self.offsets, task_done, stage_done, |i, stage| {
+            let sp = &mut self.spans[i];
+            self.refs[(sp.start + sp.len) as usize] = StageRef { stage };
+            sp.len += 1;
+        });
         self.frontier = dag
             .stage_ids()
             .find(|s| !stage_done(*s))
@@ -202,7 +206,7 @@ impl RefProfile {
 
     /// LRC's reference count: remaining unfinished reads.
     pub fn lrc_count(&self, b: BlockId) -> u32 {
-        self.get(b).map(|v| v.len() as u32).unwrap_or(0)
+        self.idx(b).map_or(0, |i| self.spans[i].len)
     }
 
     /// MRD's stage reference distance: how many stage ids ahead of the FIFO
@@ -218,14 +222,21 @@ impl RefProfile {
     /// LRP's reference priority (Def. 1): the highest `pv` among stages
     /// still reading the block; 0 when no future use remains.
     pub fn lrp_priority(&self, b: BlockId) -> u64 {
-        self.get(b)
-            .map(|v| {
-                v.iter()
-                    .map(|r| self.pv.get(r.stage.index()).copied().unwrap_or(0))
-                    .max()
-                    .unwrap_or(0)
-            })
-            .unwrap_or(0)
+        self.lrp_key(b).0
+    }
+
+    /// `(lrp_priority(b), lrc_count(b))` from one walk of the use list:
+    /// LRP's eviction key, priority first and remaining reads as the
+    /// tie-break.
+    pub fn lrp_key(&self, b: BlockId) -> (u64, u32) {
+        self.get(b).map_or((0, 0), |v| {
+            let max = v
+                .iter()
+                .map(|r| self.pv.get(r.stage.index()).copied().unwrap_or(0))
+                .max()
+                .unwrap_or(0);
+            (max, v.len() as u32)
+        })
     }
 
     /// Remove one use entry of `stage` for block `b` (incremental update
@@ -233,9 +244,12 @@ impl RefProfile {
     /// path).
     pub fn remove_use(&mut self, b: BlockId, stage: StageId) {
         if let Some(i) = self.idx(b) {
-            let v = &mut self.uses[i];
-            if let Some(pos) = v.iter().position(|r| r.stage == stage) {
-                v.swap_remove(pos);
+            let sp = &mut self.spans[i];
+            let slot = &mut self.refs[sp.start as usize..][..sp.len as usize];
+            if let Some(pos) = slot.iter().position(|r| r.stage == stage) {
+                // `swap_remove`: the last entry fills the hole.
+                slot[pos] = slot[slot.len() - 1];
+                sp.len -= 1;
                 self.version += 1;
                 self.changed.push(i as u32);
             }
@@ -248,7 +262,20 @@ impl RefProfile {
     /// DAG (no `rebuild` yet) are ignored, matching the lookup side.
     pub fn add_use(&mut self, b: BlockId, stage: StageId) {
         if let Some(i) = self.idx(b) {
-            self.uses[i].push(StageRef { stage });
+            let sp = &mut self.spans[i];
+            if sp.len == sp.cap {
+                // Full: move the slot to the arena's end with doubled
+                // room. The old slot is left behind unused.
+                let start = self.refs.len();
+                let live = sp.start as usize..(sp.start + sp.len) as usize;
+                self.refs.extend_from_within(live);
+                sp.cap = (sp.cap * 2).max(1);
+                self.refs
+                    .resize(start + sp.cap as usize, StageRef { stage: StageId(0) });
+                sp.start = start as u32;
+            }
+            self.refs[(sp.start + sp.len) as usize] = StageRef { stage };
+            sp.len += 1;
             self.version += 1;
             self.changed.push(i as u32);
         }
@@ -256,7 +283,7 @@ impl RefProfile {
 
     /// Does any future use remain?
     pub fn is_live(&self, b: BlockId) -> bool {
-        self.get(b).is_some_and(|v| !v.is_empty())
+        self.lrc_count(b) > 0
     }
 
     /// Stages that still read the block.
@@ -264,6 +291,45 @@ impl RefProfile {
         self.get(b)
             .map(|v| v.iter().map(|r| r.stage).collect())
             .unwrap_or_default()
+    }
+}
+
+/// Walk the future uses of `dag`'s unfinished work in push order, calling
+/// `f(flat block index, reading stage)` once per use: for each unfinished
+/// stage, each input, each unfinished task reading a block of it.
+fn for_each_use(
+    dag: &JobDag,
+    offsets: &[u32],
+    task_done: &dyn Fn(StageId, u32) -> bool,
+    stage_done: &dyn Fn(StageId) -> bool,
+    mut f: impl FnMut(usize, StageId),
+) {
+    for stage in dag.stages() {
+        if stage_done(stage.id) {
+            continue;
+        }
+        for input in &stage.inputs {
+            let rdd = dag.rdd(input.rdd);
+            let base = offsets[rdd.id.index()] as usize;
+            match input.kind {
+                DepKind::Narrow => {
+                    for k in 0..stage.num_tasks {
+                        if !task_done(stage.id, k) {
+                            f(base + k as usize, stage.id);
+                        }
+                    }
+                }
+                DepKind::Wide => {
+                    // Block j is read by task j % num_tasks (the
+                    // simulator's round-robin shuffle split).
+                    for j in 0..rdd.num_partitions {
+                        if !task_done(stage.id, j % stage.num_tasks) {
+                            f(base + j as usize, stage.id);
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -418,5 +484,260 @@ mod tests {
     fn using_stages_lists_consumers() {
         let (_, p) = profile_at_start();
         assert_eq!(p.using_stages(BlockId::new(RddId(2), 0)), vec![StageId(3)]);
+    }
+}
+
+/// The arena against the representation it replaced: one `Vec` of uses
+/// per block, filled and edited exactly as the arena's push and
+/// `swap_remove` order promises.
+#[cfg(test)]
+mod props {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use super::*;
+    use dagon_dag::generate::{random_dag, GenParams};
+    use proptest::prelude::*;
+
+    /// One generated change. Indices are reduced modulo the fixture's
+    /// sizes; block index `blocks.len()` is a block outside the DAG.
+    #[derive(Clone, Debug)]
+    enum Step {
+        /// `rebuild` with task and stage completion drawn from `seed`.
+        Rebuild {
+            seed: u64,
+        },
+        RemoveUse {
+            b: usize,
+            s: usize,
+        },
+        /// Often a stage that already reads `b`, so lists outgrow their
+        /// rebuild-time length and the slot relocates.
+        AddUse {
+            b: usize,
+            s: usize,
+        },
+        SetPv {
+            s: usize,
+            pv: u64,
+        },
+        SetFrontier {
+            f: u32,
+        },
+        Drain,
+    }
+
+    /// Weighted step kinds: rebuild 1 / remove 3 / add 4 / pv 2 /
+    /// frontier 1 / drain 2.
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        (0usize..13, 0usize..64, 0usize..64, 0u64..4).prop_map(|(kind, x, y, v)| match kind {
+            0 => Step::Rebuild { seed: x as u64 },
+            1..=3 => Step::RemoveUse { b: x, s: y },
+            4..=7 => Step::AddUse { b: x, s: y },
+            8..=9 => Step::SetPv {
+                s: y,
+                pv: if v < 2 { 0 } else { v * 1_000 },
+            },
+            10 => Step::SetFrontier { f: (y % 8) as u32 },
+            _ => Step::Drain,
+        })
+    }
+
+    fn mix(a: u64, b: u64) -> u64 {
+        (a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15)).wrapping_mul(0xbf58_476d_1ce4_e5b9) >> 29
+    }
+
+    /// The old `Vec<Vec<StageRef>>` profile, keyed by block.
+    #[derive(Default)]
+    struct Model {
+        uses: BTreeMap<BlockId, Vec<StageRef>>,
+        pv: Vec<u64>,
+        frontier: u32,
+        changed: BTreeSet<BlockId>,
+        crossed: BTreeSet<StageId>,
+        rebuilt: bool,
+    }
+
+    impl Model {
+        fn rebuild(
+            &mut self,
+            dag: &JobDag,
+            task_done: &dyn Fn(StageId, u32) -> bool,
+            stage_done: &dyn Fn(StageId) -> bool,
+        ) {
+            self.uses = dag
+                .rdds()
+                .iter()
+                .flat_map(|r| r.blocks())
+                .map(|b| (b, Vec::new()))
+                .collect();
+            for stage in dag.stages() {
+                if stage_done(stage.id) {
+                    continue;
+                }
+                for input in &stage.inputs {
+                    let rdd = dag.rdd(input.rdd);
+                    for j in 0..rdd.num_partitions {
+                        let k = match input.kind {
+                            DepKind::Narrow if j < stage.num_tasks => j,
+                            DepKind::Narrow => continue,
+                            DepKind::Wide => j % stage.num_tasks,
+                        };
+                        if !task_done(stage.id, k) {
+                            let uses = self.uses.get_mut(&BlockId::new(rdd.id, j)).unwrap();
+                            uses.push(StageRef { stage: stage.id });
+                        }
+                    }
+                }
+            }
+            self.frontier = dag
+                .stage_ids()
+                .find(|s| !stage_done(*s))
+                .map_or(dag.num_stages() as u32, |s| s.0);
+            self.changed.clear();
+            self.rebuilt = true;
+        }
+
+        fn uses(&self, b: BlockId) -> &[StageRef] {
+            self.uses.get(&b).map_or(&[], Vec::as_slice)
+        }
+
+        fn lrp_priority(&self, b: BlockId) -> u64 {
+            self.uses(b)
+                .iter()
+                .map(|r| self.pv[r.stage.index()])
+                .max()
+                .unwrap_or(0)
+        }
+
+        fn mrd_distance(&self, b: BlockId) -> Option<u32> {
+            self.uses(b)
+                .iter()
+                .map(|r| r.stage.0.saturating_sub(self.frontier))
+                .min()
+        }
+    }
+
+    /// Replay `steps` on the arena and the model side by side, comparing
+    /// every lookup on every block (and one foreign block) after each.
+    fn check_history(dag: &JobDag, steps: &[Step]) {
+        let mut blocks: Vec<BlockId> = dag.rdds().iter().flat_map(|r| r.blocks()).collect();
+        blocks.push(BlockId::new(RddId(dag.rdds().len() as u32 + 1), 0));
+        let n = dag.num_stages();
+        let pv: Vec<u64> = (0..n as u64).map(|s| 1_000 * (s % 3)).collect();
+        let mut p = RefProfile::with_pv(pv.clone());
+        let mut m = Model {
+            pv,
+            ..Model::default()
+        };
+        p.rebuild(dag, &|_, _| false, &|_| false);
+        m.rebuild(dag, &|_, _| false, &|_| false);
+        let (mut got_b, mut got_s) = (Vec::new(), Vec::new());
+        for (t, step) in steps.iter().enumerate() {
+            match *step {
+                Step::Rebuild { seed } => {
+                    let task_done = |s: StageId, k: u32| {
+                        mix(seed, u64::from(s.0) << 32 | u64::from(k)).is_multiple_of(3)
+                    };
+                    let stage_done =
+                        |s: StageId| mix(seed ^ 0xff, u64::from(s.0)).is_multiple_of(4);
+                    p.rebuild(dag, &task_done, &stage_done);
+                    m.rebuild(dag, &task_done, &stage_done);
+                }
+                Step::RemoveUse { b, s } => {
+                    let (b, s) = (blocks[b % blocks.len()], StageId((s % n) as u32));
+                    p.remove_use(b, s);
+                    if let Some(v) = m.uses.get_mut(&b) {
+                        if let Some(pos) = v.iter().position(|r| r.stage == s) {
+                            v.swap_remove(pos);
+                            m.changed.insert(b);
+                        }
+                    }
+                }
+                Step::AddUse { b, s } => {
+                    let b = blocks[b % blocks.len()];
+                    // Half the time, another use by a stage already
+                    // reading `b`.
+                    let s = match m.uses(b) {
+                        v if !v.is_empty() && s % 2 == 0 => v[s / 2 % v.len()].stage,
+                        _ => StageId((s % n) as u32),
+                    };
+                    p.add_use(b, s);
+                    if let Some(v) = m.uses.get_mut(&b) {
+                        v.push(StageRef { stage: s });
+                        m.changed.insert(b);
+                    }
+                }
+                Step::SetPv { s, pv } => {
+                    let s = StageId((s % n) as u32);
+                    p.set_pv(s, pv);
+                    let old = std::mem::replace(&mut m.pv[s.index()], pv);
+                    if (old == 0) != (pv == 0) {
+                        m.crossed.insert(s);
+                    }
+                }
+                Step::SetFrontier { f } => {
+                    p.set_frontier(f);
+                    m.frontier = f;
+                }
+                Step::Drain => {
+                    let rebuilt = p.drain_changes(&mut got_b, &mut got_s);
+                    assert_eq!(rebuilt, std::mem::take(&mut m.rebuilt), "step {t}");
+                    let want_b: Vec<BlockId> = std::mem::take(&mut m.changed).into_iter().collect();
+                    let want_s: Vec<StageId> = std::mem::take(&mut m.crossed).into_iter().collect();
+                    assert_eq!((&got_b, &got_s), (&want_b, &want_s), "step {t}");
+                }
+            }
+            for &b in &blocks {
+                let uses = m.uses(b);
+                let ctx = format!("block {b:?} after step {t} ({step:?})");
+                assert_eq!(p.lrc_count(b), uses.len() as u32, "{ctx}");
+                assert_eq!(p.is_live(b), !uses.is_empty(), "{ctx}");
+                assert_eq!(p.lrp_priority(b), m.lrp_priority(b), "{ctx}");
+                assert_eq!(
+                    p.lrp_key(b),
+                    (m.lrp_priority(b), uses.len() as u32),
+                    "{ctx}"
+                );
+                assert_eq!(p.mrd_distance(b), m.mrd_distance(b), "{ctx}");
+                let stages: Vec<StageId> = uses.iter().map(|r| r.stage).collect();
+                assert_eq!(p.using_stages(b), stages, "{ctx}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// After every step of a random history of rebuilds, use
+        /// removals and re-adds (past the rebuild-time length), pv and
+        /// frontier moves and drains, every lookup, the use order and
+        /// the change stream match the per-block `Vec` model.
+        #[test]
+        fn arena_matches_per_block_vecs(
+            seed in 0u64..1_000,
+            steps in proptest::collection::vec(step_strategy(), 1..120),
+        ) {
+            let params = GenParams { stages: 5, tasks: (1, 4), ..Default::default() };
+            check_history(&random_dag(&params, seed), &steps);
+        }
+    }
+
+    #[test]
+    fn add_use_past_capacity_relocates_the_slot() {
+        let dag = dagon_dag::examples::fig1();
+        let mut p = RefProfile::with_pv(vec![7; dag.num_stages()]);
+        p.rebuild(&dag, &|_, _| false, &|_| false);
+        let b = BlockId::new(RddId(2), 0);
+        assert_eq!(p.using_stages(b), vec![StageId(3)]);
+        let len0 = p.refs.len();
+        for s in [0, 1, 2, 4] {
+            p.add_use(b, StageId(s));
+        }
+        assert!(p.refs.len() > len0, "the slot moved to the arena's end");
+        let stages = [3, 0, 1, 2, 4].map(StageId).to_vec();
+        assert_eq!(p.using_stages(b), stages);
+        assert_eq!(p.lrp_key(b), (7, 5));
+        p.remove_use(b, StageId(3));
+        assert_eq!(p.using_stages(b), [4, 0, 1, 2].map(StageId).to_vec());
     }
 }

@@ -1369,6 +1369,10 @@ impl Simulation {
         for i in 0..self.bms.len() {
             let idle = self.bms[i].check_sweep_idle(&self.profile);
             debug_assert!(idle, "drop pass left a victim on exec {i}");
+            debug_assert!(
+                self.bms[i].check_unpinned(),
+                "evictable list drifted on exec {i}"
+            );
         }
         self.metrics.cache.proactive_evictions += victims.len() as u64;
         if !victims.is_empty() {

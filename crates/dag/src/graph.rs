@@ -11,12 +11,11 @@ use crate::resources::SimTime;
 /// Transitive successor closure: for each stage, the set of stages that
 /// cannot start before it finishes (the paper's `SuccessorSet_i`).
 ///
-/// Returned as a dense bitset per stage (`Vec<Vec<bool>>` indexed by stage),
+/// Returned as a dense bitset per stage (`u64` words, indexed by stage),
 /// computed in reverse topological order in `O(V·E/64)` via u64 word OR.
 #[derive(Clone, Debug)]
 pub struct Closure {
     words: Vec<Vec<u64>>,
-    n: usize,
 }
 
 impl Closure {
@@ -55,7 +54,7 @@ impl Closure {
             }
             words[s.index()] = acc;
         }
-        Closure { words, n }
+        Closure { words }
     }
 
     /// Is `b` in the closure of `a`?
@@ -65,10 +64,20 @@ impl Closure {
 
     /// Iterate members of `a`'s closure in id order.
     pub fn members(&self, a: StageId) -> impl Iterator<Item = StageId> + '_ {
-        let row = &self.words[a.index()];
-        (0..self.n)
-            .filter(move |i| (row[i / 64] >> (i % 64)) & 1 == 1)
-            .map(|i| StageId(i as u32))
+        // Set bits word by word, lowest first: ascending ids.
+        self.words[a.index()]
+            .iter()
+            .enumerate()
+            .flat_map(|(wi, &word)| {
+                let mut w = word;
+                std::iter::from_fn(move || {
+                    (w != 0).then(|| {
+                        let bit = w.trailing_zeros() as usize;
+                        w &= w - 1;
+                        StageId((wi * 64 + bit) as u32)
+                    })
+                })
+            })
     }
 
     /// Number of members in `a`'s closure.

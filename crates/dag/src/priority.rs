@@ -109,7 +109,7 @@ impl PriorityTracker {
         let delta = work.min(self.work[s.index()].remaining);
         self.work[s.index()].remaining -= delta;
         self.pv[s.index()] = self.pv[s.index()].saturating_sub(delta);
-        for a in self.ancestors.members(s).collect::<Vec<_>>() {
+        for a in self.ancestors.members(s) {
             self.pv[a.index()] = self.pv[a.index()].saturating_sub(delta);
         }
     }
@@ -121,7 +121,7 @@ impl PriorityTracker {
         self.work[s.index()].remaining =
             (self.work[s.index()].remaining + work).min(self.work[s.index()].initial);
         self.pv[s.index()] += work;
-        for a in self.ancestors.members(s).collect::<Vec<_>>() {
+        for a in self.ancestors.members(s) {
             self.pv[a.index()] += work;
         }
     }
