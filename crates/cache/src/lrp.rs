@@ -64,9 +64,10 @@ impl CachePolicy for Lrp {
     fn prefetch_pick(&mut self, candidates: &[BlockId], profile: &RefProfile) -> Option<BlockId> {
         candidates
             .iter()
-            .copied()
-            .filter(|b| profile.lrp_priority(*b) > 0)
-            .max_by_key(|b| (profile.lrp_priority(*b), std::cmp::Reverse(*b)))
+            .map(|&b| (profile.lrp_priority(b), std::cmp::Reverse(b)))
+            .filter(|&(p, _)| p > 0)
+            .max()
+            .map(|(_, std::cmp::Reverse(b))| b)
     }
 
     fn prefetch_order(

@@ -93,7 +93,9 @@ pub trait CachePolicy {
     /// Purity contract: `out` is a function of `candidates` and `profile`
     /// alone. The simulator relies on this to skip an executor's prefetch
     /// evaluation while its BlockManager, the profile and block residency
-    /// are all unchanged since an evaluation that started nothing.
+    /// are all unchanged since an evaluation that started nothing, and
+    /// to skip the call outright when `candidates` is empty (the ranking
+    /// of nothing is empty).
     fn prefetch_order(
         &mut self,
         _candidates: &[BlockId],

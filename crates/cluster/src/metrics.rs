@@ -208,18 +208,22 @@ pub struct SchedulerStats {
     pub batches_discarded: u64,
     /// Assignments dropped by those discards.
     pub assignments_discarded: u64,
-    /// Per-(task, executor) locality lookups answered by the index.
+    /// Locality lookups answered by the index: read tiers, task levels
+    /// and placement probes.
     pub locality_queries: u64,
     /// Block-placement mutations that changed the index (its generation).
     pub index_invalidations: u64,
-    /// Per-stage valid-locality-level ladder recomputations.
+    /// Retired: always 0. The valid-level folds it counted are gone: the
+    /// locality index keeps each live stage's valid-level contributions
+    /// as task sets (DESIGN.md §26). Kept only because `dagon_bench`
+    /// reads the score-cache fields by name; remove them with that reader.
     pub valid_level_rebuilds: u64,
-    /// Placement-score memo hits (per-(stage, exec) scan cursors and
-    /// valid-level contribution counts served without rescanning).
+    /// Retired: always 0, like [`Self::valid_level_rebuilds`] (the scan
+    /// and valid-level memos it counted are gone).
     pub score_cache_hits: u64,
-    /// Placement-score memo misses (rescans from the pending set).
+    /// Retired: always 0, like [`Self::score_cache_hits`].
     pub score_cache_misses: u64,
-    /// Score-memo entries discarded by generation/pending-version bumps.
+    /// Retired: always 0, like [`Self::score_cache_hits`].
     pub score_cache_invalidations: u64,
     /// Full from-scratch builds of the incremental ready list (O(1) per
     /// run: once at startup; schedulability flips keep it current after).
@@ -230,14 +234,14 @@ pub struct SchedulerStats {
     pub ect_heap_pops: u64,
     /// Retired: always 0, like [`Self::ect_heap_pops`].
     pub ect_heap_stale: u64,
-    /// Inverted-index gates that answered "no pending work at this
+    /// Locality-index count gates that answered "no pending work at this
     /// (stage, level, executor)" — placement probes skipped outright.
     pub inv_index_hits: u64,
-    /// Incremental inverted-index maintenance operations (pending-set
-    /// mirror events and per-reader residency diffs on live stages, plus
-    /// one per stage liveness flip).
+    /// Locality-index maintenance operations: live readers whose task
+    /// set bits a residency flip changed, plus one per stage liveness
+    /// flip.
     pub inv_index_updates: u64,
-    /// From-scratch inverted-index builds (O(1) per run: once at startup,
+    /// From-scratch locality-index builds (O(1) per run: once at startup,
     /// like `ready_list_rebuilds`).
     pub inv_index_rebuilds: u64,
 }

@@ -8,20 +8,13 @@
 //! scheduler produced (ascending task index: tasks start as `0..n` and are
 //! only ever removed).
 //!
-//! A version counter increments on every removal so memoized derived state
-//! (the [`crate::locality_index::LocalityIndex`] valid-level cache) can
-//! detect staleness without hashing the contents.
-//!
-//! The inverted pending-work index keeps its own membership mirror of this
-//! set for every stage on the ready list (per-stage `inv_pending` in
-//! [`crate::locality_index`]): every simulator transition that pops or
-//! re-inserts a member must be paired with `on_pending_removed` /
-//! `on_pending_inserted` on the index (a no-op for a stage off the ready
-//! list, whose activation copies this set afresh), and the mirror is
-//! cross-checked against this set by `check_inv_consistency` at every
-//! scheduling opportunity in debug builds. `insert`/`remove` return
-//! whether membership actually changed precisely so those call sites can
-//! mirror conditionally and never double-count.
+//! The [`crate::locality_index::LocalityIndex`] keeps no copy of this set:
+//! its per-stage locality sets cover every task of a live stage, pending
+//! or not, and every query masks them with [`PendingSet::word_bits`]. A
+//! launch pop or a re-insert therefore needs no call on the index.
+//! `insert`/`remove` return whether membership actually changed, for the
+//! call sites that keep other counters (running tasks, the scheduler's
+//! accounting) in step.
 
 // Dense u32 task indices: `present.len()` is a per-stage task count,
 // bounded far below u32::MAX by workload construction.
@@ -33,9 +26,7 @@
 // lint: incremental(present, mutators = [remove, insert, clear])
 // lint: incremental(words, mutators = [remove, insert, clear], oracle = check_mirror)
 // lint: incremental(len, mutators = [remove, insert, clear], oracle = check_mirror)
-// lint: incremental(version, mutators = [remove, insert, clear])
-// lint: incremental(inserts, mutators = [insert, clear])
-// lint: hotpath(remove, next_member, next_after)
+// lint: hotpath(remove)
 #[derive(Clone, Debug)]
 pub struct PendingSet {
     /// `next[i]` / `prev[i]` thread present members in ascending order;
@@ -44,12 +35,10 @@ pub struct PendingSet {
     prev: Vec<u32>,
     present: Vec<bool>,
     /// `present` as a packed bitmap (bit `k` of word `k / 64`), kept in
-    /// lockstep so set-algebra consumers (the placement scan's candidate
-    /// bitsets) can AND against membership a word at a time.
+    /// lockstep so set-algebra consumers (the locality index's task sets)
+    /// can AND against membership a word at a time.
     words: Vec<u64>,
     len: u32,
-    version: u64,
-    inserts: u64,
 }
 
 impl PendingSet {
@@ -72,8 +61,6 @@ impl PendingSet {
             present: vec![true; nu],
             words,
             len: n,
-            version: 0,
-            inserts: 0,
         }
     }
 
@@ -101,7 +88,6 @@ impl PendingSet {
         self.present[k as usize] = false;
         self.words[(k / 64) as usize] &= !(1 << (k % 64));
         self.len -= 1;
-        self.version += 1;
         true
     }
 
@@ -131,8 +117,6 @@ impl PendingSet {
         self.present[k as usize] = true;
         self.words[(k / 64) as usize] |= 1 << (k % 64);
         self.len += 1;
-        self.version += 1;
-        self.inserts += 1;
         debug_assert!(self.check_mirror());
         true
     }
@@ -145,29 +129,7 @@ impl PendingSet {
         self.next[n as usize] = n;
         self.prev[n as usize] = n;
         self.len = 0;
-        self.version += 1;
-        // Membership was reshaped wholesale: scans resumed from stale
-        // cursors would be unsound, so count it as an insertion event.
-        self.inserts += 1;
         debug_assert!(self.check_mirror());
-    }
-
-    /// Smallest member, if any.
-    pub fn first(&self) -> Option<u32> {
-        let sentinel = self.present.len() as u32;
-        let k = self.next[sentinel as usize];
-        (k != sentinel).then_some(k)
-    }
-
-    /// The member after `k` (which must be present) in ascending order.
-    /// O(1): this is what lets a scan over the set pause and resume at a
-    /// cursor as long as the version is unchanged.
-    // lint: allow(panic-surface): `k` is a member, so < n; the link arrays carry n + 1 entries
-    pub fn next_member(&self, k: u32) -> Option<u32> {
-        debug_assert!(self.contains(k));
-        let sentinel = self.present.len() as u32;
-        let nx = self.next[k as usize];
-        (nx != sentinel).then_some(nx)
     }
 
     /// Members in ascending order.
@@ -180,37 +142,6 @@ impl PendingSet {
         }
     }
 
-    /// The member after `k` in ascending order, where `k` may itself have
-    /// been **removed** since it was last a member. Removal leaves the
-    /// removed index's own links untouched (only its neighbors are
-    /// rewired), so `next[k]` still names `k`'s successor at the moment
-    /// of removal — every member between the two would have had to be
-    /// *inserted* after that moment. Callers resuming a scan from a
-    /// possibly-stale cursor must therefore key on [`Self::inserts`]
-    /// (chains only skip members across insertions, never removals) and
-    /// filter the returned index with [`Self::contains`].
-    // lint: allow(panic-surface): `k` was once a member, so < n; removal never shrinks the link arrays
-    pub fn next_after(&self, k: u32) -> Option<u32> {
-        let sentinel = self.present.len() as u32;
-        let nx = self.next[k as usize];
-        (nx != sentinel).then_some(nx)
-    }
-
-    /// Monotone counter bumped on every mutation; lets caches key on
-    /// "same pending contents" without comparing them.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Monotone counter bumped only on [`Self::insert`] (and
-    /// [`Self::clear`]). Scans that tolerate removals — skipping absent
-    /// members via [`Self::contains`] and resuming through
-    /// [`Self::next_after`] — stay valid while this is unchanged, which
-    /// is what lets the placement scan memos survive launch pops.
-    pub fn inserts(&self) -> u64 {
-        self.inserts
-    }
-
     /// Membership as a packed bitmap: bit `k % 64` of word `k / 64` is
     /// set iff `k` is present. `len() == ceil(universe / 64)`.
     pub fn word_bits(&self) -> &[u64] {
@@ -220,8 +151,8 @@ impl PendingSet {
     /// From-scratch oracle: the packed `words` bitmap and `len` both match
     /// the authoritative `present` flags. Debug-asserted on the mutations
     /// that reshape membership (`insert`/`clear`; `remove` is the per-launch
-    /// hot path and is covered transitively by the inverted-index
-    /// cross-check at every scheduling opportunity).
+    /// hot path, so the simulator checks every stage's set at each
+    /// scheduling opportunity instead).
     pub fn check_mirror(&self) -> bool {
         let mut words = vec![0u64; self.present.len().div_ceil(64)];
         let mut n = 0u32;
@@ -268,13 +199,11 @@ mod tests {
     }
 
     #[test]
-    fn removal_is_order_preserving_and_versioned() {
+    fn removal_is_order_preserving() {
         let mut s = PendingSet::full(5);
-        let v0 = s.version();
         assert!(s.remove(2));
         assert!(!s.remove(2));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 1, 3, 4]);
-        assert!(s.version() > v0);
         assert!(s.remove(0));
         assert!(s.remove(4));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 3]);
@@ -302,10 +231,8 @@ mod tests {
             assert!(s.remove(k));
         }
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 4]);
-        let v0 = s.version();
         assert!(s.insert(3));
         assert!(!s.insert(3)); // already present
-        assert!(s.version() > v0);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 3, 4]);
         assert!(s.insert(0));
         assert!(s.insert(5));

@@ -58,7 +58,7 @@ fn sync_ready(
     let st = &stages[si];
     let on = st.ready && !st.completed && !st.pending.is_empty();
     cview.set_stage_schedulable(si, on);
-    index.set_stage_live(si, on, &st.pending);
+    index.set_stage_live(si, on);
 }
 
 struct RunningAttempt {
@@ -74,7 +74,7 @@ struct RunningAttempt {
 
 /// One simulation run in progress.
 // lint: incremental(cview, mutators = [handle, launch, do_schedule, teardown_attempt, complete_stage, fail_attempt, requeue_task, exec_crash, exec_restart, resubmit_task, with_jobs, admit_job, reject_job], via = [apply, init_ready_list, set_stage_schedulable], oracle = check_consistency)
-// lint: incremental(data, mutators = [with_jobs, handle, launch, finish_task, complete_stage, proactive_drops, prefetch_arrive, exec_crash, block_loss, requeue_task, resubmit_task, admit_job, reject_job], via = [add_disk, add_cached, remove_cached, remove_disk, on_pending_removed, on_pending_inserted], oracle = check_inv_consistency)
+// lint: incremental(data, mutators = [with_jobs, handle, launch, finish_task, complete_stage, proactive_drops, prefetch_arrive, exec_crash, block_loss, requeue_task, resubmit_task, admit_job, reject_job], via = [add_disk, add_cached, remove_cached, remove_disk], oracle = check_inv_consistency)
 // lint: incremental(jobs, mutators = [with_jobs, run, job_arrival, admit_job, reject_job, complete_stage, resubmit_task, launch, teardown_attempt], via = [on_arrival, admit_queued, on_stage_complete, on_stage_reopened, on_cores_consumed, on_cores_released], oracle = check_consistency)
 // lint: incremental(prefetch_key, mutators = [prefetch_scan], init = [new], oracle = check_prefetch_idle)
 // lint: incremental(disk_by_node, mutators = [finish_task, prefetch_scan, exec_crash, resubmit_task], init = [new], oracle = check_prefetch_candidates)
@@ -419,12 +419,8 @@ impl Simulation {
         let is = self.data.stats();
         self.metrics.sched.locality_queries = is.locality_queries;
         self.metrics.sched.index_invalidations = is.invalidations;
-        self.metrics.sched.valid_level_rebuilds = is.valid_level_rebuilds;
         self.metrics.sched.view_rebuilds = self.cview.rebuilds();
         self.metrics.sched.view_deltas = self.cview.deltas_applied();
-        self.metrics.sched.score_cache_hits = is.score_cache_hits;
-        self.metrics.sched.score_cache_misses = is.score_cache_misses;
-        self.metrics.sched.score_cache_invalidations = is.score_cache_invalidations;
         self.metrics.sched.ready_list_rebuilds = self.cview.ready_list_rebuilds();
         self.metrics.sched.inv_index_hits = is.inv_index_hits;
         self.metrics.sched.inv_index_updates = is.inv_index_updates;
@@ -647,14 +643,17 @@ impl Simulation {
             "locality index live set drifted from the ready list"
         );
         #[cfg(debug_assertions)]
-        for (s, st) in self.stages.iter().enumerate() {
-            // The inverted pending-work index vs a from-scratch rebuild,
-            // at every scheduling opportunity (the PR-1/3/6 oracle
-            // discipline). Every stage: a live one must match the
-            // rebuild, a non-live one must hold nothing.
+        for s in 0..self.stages.len() {
+            // The locality index's task sets vs a from-scratch executor
+            // walk, at every scheduling opportunity. Every stage: a live
+            // one must match the walk, a non-live one must hold nothing.
             debug_assert!(
-                self.data.check_inv_consistency(s, &st.pending),
-                "inverted locality index drifted from from-scratch rebuild (stage {s})"
+                self.stages[s].pending.check_mirror(),
+                "pending bitmap drifted from its membership flags (stage {s})"
+            );
+            debug_assert!(
+                self.data.check_inv_consistency(s),
+                "locality index drifted from from-scratch rebuild (stage {s})"
             );
         }
         #[cfg(debug_assertions)]
@@ -981,7 +980,6 @@ impl Simulation {
             let srt = &mut self.stages[a.stage.index()];
             srt.pending.remove(a.task_index);
             srt.running += 1;
-            self.data.on_pending_removed(a.stage.index(), a.task_index);
             sync_ready(
                 &mut self.cview,
                 &mut self.data,
@@ -1513,7 +1511,13 @@ impl Simulation {
                     self.check_prefetch_candidates(node, &node_buf),
                     "node {node}'s prefetch candidates differ from a fresh filter"
                 );
-                self.bms[i].prefetch_order(&node_buf, &self.profile, &mut order);
+                // A node with no candidates has nothing to rank; clearing
+                // `order` keeps the previous node's ranking from leaking.
+                if node_buf.is_empty() {
+                    order.clear();
+                } else {
+                    self.bms[i].prefetch_order(&node_buf, &self.profile, &mut order);
+                }
             }
             if unchanged {
                 debug_assert!(
@@ -1622,12 +1626,14 @@ impl Simulation {
                     continue;
                 }
                 // Pick the best-locality executor with room, excluding the
-                // one already running the primary attempt.
+                // one already running the primary attempt. Stage demands
+                // always include a cpu, so only the free list (ascending,
+                // as the full walk was) can fit one.
                 let mut best: Option<(Locality, u32, ExecId)> = None;
-                for e in 0..self.cview.num_execs() {
-                    let exec = ExecId(e as u32);
+                for &e in self.cview.free_execs() {
+                    let exec = ExecId(e);
                     if exec == ra.exec
-                        || !self.faults.usable_idx(e)
+                        || !self.faults.usable_idx(e as usize)
                         || !self.cview.free_of(exec).fits(st.demand)
                     {
                         continue;
@@ -1787,8 +1793,6 @@ impl Simulation {
         // One in-flight slot was accounted for this task (the primary's,
         // inherited by the speculative copy if the primary died first).
         srt.running = srt.running.saturating_sub(1);
-        self.data
-            .on_pending_inserted(task.stage.index(), task.index);
         sync_ready(
             &mut self.cview,
             &mut self.data,
@@ -2008,9 +2012,6 @@ impl Simulation {
         let had_pending = !self.stages[si].pending.is_empty();
         let inserted = self.stages[si].pending.insert(k);
         debug_assert!(inserted);
-        if inserted {
-            self.data.on_pending_inserted(si, k);
-        }
         // The task's input reads re-enter the master's reference profile
         // (they were removed when it finished). A block this revives may
         // have been pruned from its nodes' prefetch candidates.

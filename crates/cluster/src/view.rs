@@ -4,7 +4,7 @@
 //! executor resources, and per-stage runtime statistics.
 //!
 //! Locality questions are answered by the [`LocalityIndex`] (residency
-//! bitsets and inverted pending counts, kept current by deltas) instead
+//! bitsets and per-stage task sets, kept current by deltas) instead
 //! of rescanning the block registry, and every pending-task query is
 //! *claims-aware*: it takes a [`ScheduleShadow`] recording the
 //! assignments already picked in the current batch, so one `schedule`
@@ -562,7 +562,7 @@ impl<'a> SimView<'a> {
         )
     }
 
-    /// Inverted-index gate: does stage `s` have any *pending* task at
+    /// Locality-index gate: does stage `s` have any *pending* task at
     /// exactly `level` on `e`? Claims-blind on purpose — the claims-aware
     /// probe can only find a subset of these tasks, so `false` proves
     /// [`pending_with_locality`](Self::pending_with_locality) would
@@ -571,14 +571,18 @@ impl<'a> SimView<'a> {
     /// stages on the ready list: the index holds nothing for any other
     /// stage (DESIGN.md §18).
     pub fn has_pending_at(&self, s: StageId, e: ExecId, level: Locality) -> bool {
-        self.index.pending_level_count(s.index(), e, level) > 0
+        self.index
+            .pending_level_count(s.index(), e, level, &self.stages[s.index()].pending)
+            > 0
     }
 
     /// The strict-probe twin of [`has_pending_at`](Self::has_pending_at):
     /// any pending task at exactly `level` on `e` whose best level
     /// anywhere is also `level`? Defined for stages on the ready list.
     pub fn has_pending_strict_at(&self, s: StageId, e: ExecId, level: Locality) -> bool {
-        self.index.pending_strict_count(s.index(), e, level) > 0
+        self.index
+            .pending_strict_count(s.index(), e, level, &self.stages[s.index()].pending)
+            > 0
     }
 
     /// One-sided *unclaimed* existence test: `true` proves stage `s` has
@@ -597,14 +601,16 @@ impl<'a> SimView<'a> {
         level: Locality,
         shadow: &ScheduleShadow,
     ) -> bool {
-        self.index.pending_level_count(s.index(), e, level) > shadow.claimed_count(s)
+        self.index
+            .pending_level_count(s.index(), e, level, &self.stages[s.index()].pending)
+            > shadow.claimed_count(s)
     }
 
     /// Locality levels for which stage `s` has at least one unclaimed
     /// pending task on *some* executor — the "valid locality levels" of
     /// Alg. 2 / Spark's `computeValidLocalityLevels`. Always includes
-    /// `Any` if any task is pending. Memoized per stage per round in the
-    /// [`LocalityIndex`]. Defined for stages on the ready list.
+    /// `Any` if any task is pending. Three masked word scans over the
+    /// [`LocalityIndex`]'s task sets. Defined for stages on the ready list.
     pub fn valid_levels(&self, s: StageId, shadow: &ScheduleShadow) -> Vec<Locality> {
         let st = &self.stages[s.index()];
         let (levels, n) = self.index.valid_levels(

@@ -1,8 +1,8 @@
 //! The incremental-state integrity rules (S1-S5).
 //!
 //! The scheduler's speed comes from incrementally-maintained mirrors of
-//! simulator state (`ClusterView` ledgers, the inverted pending-work
-//! index, `StageScan`/`ContribState` memos). Their correctness contract —
+//! simulator state (`ClusterView` ledgers, the locality index's per-stage
+//! task sets, the reference profile). Their correctness contract —
 //! *every mutation flows through a designated mutator, every mutator
 //! emits its deltas, every mirror has a from-scratch rebuild oracle
 //! exercised in debug builds* — was previously enforced only dynamically.

@@ -19,7 +19,7 @@
 //! one-assignment-per-call loop, minus the per-pick view rebuilds.
 //!
 //! The placement half additionally gates each executor probe on the
-//! view's inverted pending-work counts (`has_pending_at`, DESIGN.md §14):
+//! view's pending-work counts (`has_pending_at`, DESIGN.md §14, §26):
 //! the counts are claims-blind, so the shadow's within-batch claims never
 //! invalidate a zero answer, and the pick loop skips provably-empty
 //! probes while preserving the exact first-match order.

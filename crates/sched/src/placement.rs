@@ -181,7 +181,7 @@ impl Placement for NativeDelay {
                 continue;
             }
             for &level in valid.iter().filter(|l| **l <= allowed) {
-                // Inverted-index gate: a zero count proves the probe below
+                // Locality-index gate: a zero count proves the probe below
                 // would return None (claims only shrink the candidate
                 // set), so skipping it is schedule-neutral.
                 if !view.has_pending_at(stage, e.id, level) {
@@ -351,7 +351,7 @@ impl Placement for SensitivityAware {
         // inner. Only free executors are visited: the ascending free list
         // matches the full ascending walk after the fits filter (a stage
         // demand always includes a cpu). Every probe is gated on the
-        // inverted index's per-(stage, level, executor) pending counts: a
+        // locality index's per-(stage, level, executor) pending counts: a
         // zero count proves the probe would return None (claims only
         // shrink the candidate set), so the gates skip work without ever
         // changing which task the first-match walk finds.

@@ -1,24 +1,28 @@
-//! Differential properties for PR 7's inverted pending-work index on
-//! [`LocalityIndex`]: per-(stage, locality-level, executor) counts of
-//! pending tasks, maintained incrementally from residency deltas and
-//! pending-set pops/inserts.
+//! Differential properties for the scope-factored locality sets of
+//! [`LocalityIndex`]: per live stage, which tasks are PROCESS on each
+//! executor, NODE-or-better on each node, RACK-or-better on each rack,
+//! plus the best-level and valid-level summaries — maintained from
+//! residency flips and stage liveness flips, and read through the pending
+//! and claim masks.
 //!
 //! Two layers of coverage, mirroring `ready_props`:
 //!
-//! * **Index-level**: generated histories over two stages interleaving
-//!   cache inserts/evicts, disk-replica loss (crash-style), pending pops
-//!   and re-inserts (requeue-style) and one stage entering and leaving
-//!   the index (ready-list flips), checked after every step against a
-//!   brute-force per-(stage, level) membership oracle recomputed from a
-//!   shadow residency registry — plus the gate implication the placement
-//!   fast path relies on: a zero count at (exec, level) must mean the
-//!   first-match probe [`LocalityIndex::scan_first`] finds nothing there
-//!   — and [`LocalityIndex::valid_levels`] under a random claim subset
-//!   must equal the sequential walk over the unclaimed pending tasks.
+//! * **Index-level**: generated histories over two stages on generated
+//!   *uneven* topologies (racks with different node counts, nodes with
+//!   different executor counts, often more than 64 executors so every
+//!   executor row spans words), with tasks reading several blocks, one
+//!   block twice, or none at all. Each history interleaves cache
+//!   inserts/evicts, disk replica adds and losses, executor crashes,
+//!   pending pops and re-inserts and both stages entering and leaving the
+//!   index. After every step, every exact and strict per-(executor,
+//!   level) count, every [`LocalityIndex::scan_first`] probe and
+//!   [`LocalityIndex::valid_levels`] (both under a random claim subset)
+//!   must equal a brute-force walk over a shadow residency registry, and
+//!   a zero count must mean the unclaimed probe finds nothing.
 //! * **Sim-level**: random workloads and chaos fault plans run end-to-end
 //!   in the dev profile, where `check_inv_consistency` re-derives every
-//!   count from scratch at each scheduling opportunity; on top the
-//!   properties pin determinism and the build-once guarantee
+//!   live stage's sets from scratch at each scheduling opportunity; on
+//!   top the properties pin determinism and the build-once guarantee
 //!   (`inv_index_rebuilds == 1`) the CI bench guard asserts at scale.
 
 // Test-only id mints from small generated counts.
@@ -26,109 +30,179 @@
 
 use dagon_cluster::hdfs::DataMap;
 use dagon_cluster::{
-    ClusterConfig, ExecId, FaultPlan, Locality, LocalityIndex, NodeId, PendingSet, TaskView,
-    Topology,
+    ClusterConfig, ExecId, FaultPlan, Locality, LocalityIndex, NodeId, PendingSet, RackId,
+    TaskView, Topology,
 };
 use dagon_core::{run_system, System};
 use dagon_dag::{BlockId, DagBuilder, RddId};
 use dagon_workloads::{Scale, Workload};
 use proptest::prelude::*;
 
-const N_TASKS: u32 = 8;
+/// Source blocks every task draws its locality blocks from.
+const N_BLOCKS: u32 = 10;
+/// Tasks per stage: stage 0's task sets span two words.
+const TASKS: [u32; 2] = [70, 9];
 
 /// Abstract step of a generated history: residency flips (the four
 /// [`LocalityIndex`] mutators) interleaved with pending-set churn the way
-/// the simulator drives them (launch pops, requeue/resubmit re-inserts)
-/// and with stage 1 entering and leaving the ready list.
+/// the simulator drives it (launch pops, requeue/resubmit re-inserts) and
+/// with stages entering and leaving the ready list. `i` picks an
+/// executor, node or task modulo the fixture's count.
 #[derive(Clone, Debug)]
 enum Step {
-    /// Cache block `b % N_TASKS` on executor `i % n_execs`.
+    /// Cache block `b` on an executor.
     Cache { b: u32, i: usize },
-    /// Evict block `b % N_TASKS` from executor `i % n_execs`.
+    /// Evict block `b` from an executor.
     Evict { b: u32, i: usize },
-    /// Add a disk replica of block `b` on node `i % n_nodes`.
+    /// Add a disk replica of block `b` on a node.
     DiskAdd { b: u32, i: usize },
-    /// Drop the disk replica on node `i % n_nodes` (crash-style loss).
+    /// Drop block `b`'s disk replica on a node.
     DiskLose { b: u32, i: usize },
-    /// Pop task `k % N_TASKS` of stage `s` from its pending set (launch).
-    Pop { s: usize, k: u32 },
-    /// Re-insert task `k % N_TASKS` of stage `s` (requeue after a failure).
-    Reinsert { s: usize, k: u32 },
-    /// Put stage 1 on (`on`) or off the index, as a ready-list flip does.
-    Live { on: bool },
+    /// An executor crashes: it loses every cached block and its node
+    /// loses every disk replica.
+    Crash { i: usize },
+    /// Pop a task of stage `s` from its pending set (launch).
+    Pop { s: usize, i: usize },
+    /// Re-insert a task of stage `s` (requeue after a failure).
+    Reinsert { s: usize, i: usize },
+    /// Put stage `s` on (`on`) or off the index, as a ready-list flip
+    /// does.
+    Live { s: usize, on: bool },
 }
 
 /// Weighted step kinds (no `prop_oneof` in the vendored shim, so the
 /// weights are an integer draw): cache 3 / evict 2 / disk-add 1 /
-/// disk-lose 1 / pop 3 / reinsert 2 / live 2.
+/// disk-lose 1 / crash 1 / pop 3 / reinsert 2 / live 2.
 fn step_strategy() -> impl Strategy<Value = Step> {
-    (0usize..14, 0u32..N_TASKS, 0usize..16).prop_map(|(kind, b, i)| match kind {
+    (0usize..15, 0u32..N_BLOCKS, 0usize..1 << 12).prop_map(|(kind, b, i)| match kind {
         0..=2 => Step::Cache { b, i },
         3..=4 => Step::Evict { b, i },
         5 => Step::DiskAdd { b, i },
         6 => Step::DiskLose { b, i },
-        7..=9 => Step::Pop { s: i % 2, k: b },
-        10..=11 => Step::Reinsert { s: i % 2, k: b },
-        _ => Step::Live { on: i % 2 == 0 },
+        7 => Step::Crash { i },
+        8..=10 => Step::Pop { s: i % 2, i: i / 2 },
+        11..=12 => Step::Reinsert { s: i % 2, i: i / 2 },
+        _ => Step::Live {
+            s: i % 2,
+            on: i / 2 % 2 == 0,
+        },
     })
 }
 
+/// Uneven topology shapes: `shape[r][j]` executors on node `j` of rack
+/// `r` — 1 to 3 racks of 1 to 3 nodes of 1 to 39 executors.
+fn shape_strategy() -> impl Strategy<Value = Vec<Vec<u32>>> {
+    proptest::collection::vec(proptest::collection::vec(1u32..40, 1..4), 1..4)
+}
+
+/// Each task's locality-block draw `(kind, a, b)`: kind 0 reads nothing,
+/// 1 reads `a`, 2 reads `a` and `b`, 3 lists `a`, `b` and `a` again.
+fn reads_strategy() -> impl Strategy<Value = Vec<(u32, u32, u32)>> {
+    let n = (TASKS[0] + TASKS[1]) as usize;
+    proptest::collection::vec((0u32..4, 0u32..N_BLOCKS, 0u32..N_BLOCKS), n..n + 1)
+}
+
+/// A claim draw: two words, masked to each stage's pending set.
+fn claims_strategy() -> impl Strategy<Value = [u64; 2]> {
+    (0u64..u64::MAX, 0u64..u64::MAX).prop_map(|(a, b)| [a, b])
+}
+
+/// A topology with `shape[r][j]` executors on the `j`-th node of rack
+/// `r`, ids contiguous and ascending the way [`Topology::build`] assigns
+/// them.
+fn uneven_topology(shape: &[Vec<u32>]) -> Topology {
+    let mut t = Topology {
+        node_rack: Vec::new(),
+        exec_node: Vec::new(),
+        node_execs: Vec::new(),
+        rack_nodes: Vec::new(),
+    };
+    for (r, nodes) in shape.iter().enumerate() {
+        let mut in_rack = Vec::new();
+        for &n_execs in nodes {
+            let n = NodeId(t.node_rack.len() as u32);
+            t.node_rack.push(RackId(r as u16));
+            in_rack.push(n);
+            let first = t.exec_node.len() as u32;
+            t.exec_node.extend((0..n_execs).map(|_| n));
+            t.node_execs
+                .push((first..first + n_execs).map(ExecId).collect());
+        }
+        t.rack_nodes.push(in_rack);
+    }
+    t
+}
+
 /// The index under test plus everything the oracle needs: a shadow
-/// residency registry fed the same mutations, each stage's pending set
-/// and its liveness.
+/// residency registry fed the same mutations, each task's blocks, each
+/// stage's pending set and its liveness.
 struct Fixture {
     topo: Topology,
     idx: LocalityIndex,
     data: DataMap,
+    blocks: [Vec<Vec<BlockId>>; 2],
     pending: [PendingSet; 2],
     live: [bool; 2],
 }
 
-/// Two-stage fixture on a 2-rack topology: task `k` of either stage reads
-/// block `k` of the source RDD, so every flip re-levels readers in both.
-/// Replication 1 so crash-style disk loss can push tasks all the way to
-/// `Any`. Stage 0 starts live and stays live; stage 1 starts off the
-/// index and is toggled by [`Step::Live`].
-fn build() -> Fixture {
+/// Two stages over one source RDD on an uneven topology, with task
+/// locality blocks from `reads`. Replication 1 so crash-style disk loss
+/// can push tasks all the way to `Any`. Stage 0 starts live, stage 1
+/// starts off the index.
+fn build(shape: &[Vec<u32>], reads: &[(u32, u32, u32)]) -> Fixture {
     let mut b = DagBuilder::new("t");
-    let src = b.hdfs_rdd("in", N_TASKS, 64.0);
-    for name in ["s0", "s1"] {
-        let _ = b
-            .stage(name)
-            .tasks(N_TASKS)
-            .demand_cpus(1)
-            .cpu_ms(100)
-            .reads_narrow(src)
-            .build();
-    }
+    let src = b.hdfs_rdd("in", N_BLOCKS, 64.0);
+    let _ = b
+        .stage("s")
+        .tasks(N_BLOCKS)
+        .demand_cpus(1)
+        .cpu_ms(100)
+        .reads_narrow(src)
+        .build();
     let dag = b.build().unwrap();
-    let topo = Topology::build(&[2, 2], 2);
+    let topo = uneven_topology(shape);
     let data = DataMap::place_sources(&dag, &topo, 1, 7);
-    let per_stage: Vec<TaskView> = (0..N_TASKS)
-        .map(|k| TaskView {
-            loc_blocks: vec![BlockId::new(RddId(0), k)],
+    let block = |i: u32| BlockId::new(RddId(0), i);
+    let mut draws = reads.iter();
+    let blocks: [Vec<Vec<BlockId>>; 2] = TASKS.map(|n| {
+        (0..n)
+            .map(|_| {
+                let &(kind, a, b) = draws.next().unwrap();
+                match kind {
+                    0 => vec![],
+                    1 => vec![block(a)],
+                    2 => vec![block(a), block(b)],
+                    _ => vec![block(a), block(b), block(a)],
+                }
+            })
+            .collect()
+    });
+    let tv: Vec<Vec<TaskView>> = blocks
+        .iter()
+        .map(|per_task| {
+            per_task
+                .iter()
+                .map(|bs| TaskView {
+                    loc_blocks: bs.clone(),
+                })
+                .collect()
         })
         .collect();
-    let tv = vec![per_stage.clone(), per_stage];
-    // `new` seeds the live stage with every task pending — the simulator
-    // starts each stage with a full pending set.
     let live = [true, false];
     let idx = LocalityIndex::new(&dag, &topo, &data, &tv, &live);
     Fixture {
         topo,
         idx,
         data,
-        pending: [PendingSet::full(N_TASKS), PendingSet::full(N_TASKS)],
+        blocks,
+        pending: TASKS.map(PendingSet::full),
         live,
     }
 }
 
-/// Brute-force level of task `k` on executor `e` from the shadow
-/// residency sets: max over the task's blocks of the per-block ladder
-/// walk. The same definition `check_inv_consistency` uses, recomputed
-/// here independently so the test does not trust the index's own oracle.
-fn brute_level(data: &DataMap, topo: &Topology, k: u32, e: ExecId) -> Locality {
-    let b = BlockId::new(RddId(0), k);
+/// Brute-force level of one block on executor `e` from the shadow
+/// residency sets: the per-block ladder walk.
+fn brute_block_level(data: &DataMap, topo: &Topology, b: BlockId, e: ExecId) -> Locality {
     if data.is_cached_in(b, e) {
         return Locality::Process;
     }
@@ -156,65 +230,89 @@ fn brute_level(data: &DataMap, topo: &Topology, k: u32, e: ExecId) -> Locality {
     Locality::Any
 }
 
-/// Best level of task `k` anywhere, brute force.
-fn brute_best(f: &Fixture, k: u32) -> Locality {
-    (0..f.topo.num_execs() as u32)
-        .map(|x| brute_level(&f.data, &f.topo, k, ExecId(x)))
-        .min()
-        .unwrap()
+/// Every task's level on every executor, `levels[s][k][e]`: the max over
+/// the task's blocks (ANY for a task with none), computed independently
+/// so the test does not trust the index's own oracle.
+fn brute_levels(f: &Fixture) -> [Vec<Vec<Locality>>; 2] {
+    let execs: Vec<ExecId> = (0..f.topo.num_execs() as u32).map(ExecId).collect();
+    [0, 1].map(|s| {
+        f.blocks[s]
+            .iter()
+            .map(|bs| {
+                execs
+                    .iter()
+                    .map(|&e| {
+                        bs.iter()
+                            .map(|&b| brute_block_level(&f.data, &f.topo, b, e))
+                            .max()
+                            .unwrap_or(Locality::Any)
+                    })
+                    .collect()
+            })
+            .collect()
+    })
 }
 
 /// Drive one abstract step, keeping the history valid (evicts only of
-/// cached blocks, disk-loss only of present replicas, pops only of
-/// pending tasks — the same preconditions the simulator guarantees).
-/// Flips go to the index and the shadow alike.
+/// cached blocks, disk loss only of present replicas — the same
+/// preconditions the simulator guarantees). Flips go to the index and
+/// the shadow alike.
 fn drive(step: &Step, f: &mut Fixture) {
     let ne = f.topo.num_execs();
     let nn = f.topo.num_nodes();
+    let block = |b: u32| BlockId::new(RddId(0), b);
     match *step {
         Step::Cache { b, i } => {
-            let (b, e) = (BlockId::new(RddId(0), b % N_TASKS), ExecId((i % ne) as u32));
+            let (b, e) = (block(b), ExecId((i % ne) as u32));
             if !f.data.is_cached_in(b, e) {
                 f.idx.add_cached(b, e);
                 f.data.add_cached(b, e);
             }
         }
         Step::Evict { b, i } => {
-            let (b, e) = (BlockId::new(RddId(0), b % N_TASKS), ExecId((i % ne) as u32));
+            let (b, e) = (block(b), ExecId((i % ne) as u32));
             if f.data.is_cached_in(b, e) {
                 f.idx.remove_cached(b, e);
                 f.data.remove_cached(b, e);
             }
         }
         Step::DiskAdd { b, i } => {
-            let (b, n) = (BlockId::new(RddId(0), b % N_TASKS), NodeId((i % nn) as u32));
+            let (b, n) = (block(b), NodeId((i % nn) as u32));
             if !f.data.disk_nodes(b).contains(&n) {
                 f.idx.add_disk(b, n);
                 f.data.add_disk(b, n);
             }
         }
         Step::DiskLose { b, i } => {
-            let (b, n) = (BlockId::new(RddId(0), b % N_TASKS), NodeId((i % nn) as u32));
+            let (b, n) = (block(b), NodeId((i % nn) as u32));
             if f.data.disk_nodes(b).contains(&n) {
                 f.idx.remove_disk(b, n);
                 f.data.remove_disk(b, n);
             }
         }
-        Step::Pop { s, k } => {
-            let k = k % N_TASKS;
-            if f.pending[s].remove(k) {
-                f.idx.on_pending_removed(s, k);
+        Step::Crash { i } => {
+            let e = ExecId((i % ne) as u32);
+            let n = f.topo.node_of_exec(e);
+            for b in (0..N_BLOCKS).map(block) {
+                if f.data.is_cached_in(b, e) {
+                    f.idx.remove_cached(b, e);
+                    f.data.remove_cached(b, e);
+                }
+                if f.data.disk_nodes(b).contains(&n) {
+                    f.idx.remove_disk(b, n);
+                    f.data.remove_disk(b, n);
+                }
             }
         }
-        Step::Reinsert { s, k } => {
-            let k = k % N_TASKS;
-            if f.pending[s].insert(k) {
-                f.idx.on_pending_inserted(s, k);
-            }
+        Step::Pop { s, i } => {
+            f.pending[s].remove(i as u32 % TASKS[s]);
         }
-        Step::Live { on } => {
-            f.live[1] = on;
-            f.idx.set_stage_live(1, on, &f.pending[1]);
+        Step::Reinsert { s, i } => {
+            f.pending[s].insert(i as u32 % TASKS[s]);
+        }
+        Step::Live { s, on } => {
+            f.live[s] = on;
+            f.idx.set_stage_live(s, on);
         }
     }
 }
@@ -224,17 +322,37 @@ fn live_stages(f: &Fixture) -> Vec<usize> {
     (0..2).filter(|&s| f.live[s]).collect()
 }
 
-/// Brute-force `computeValidLocalityLevels` over stage `s`'s pending
-/// tasks outside `claimed`: each task walks executors in id order up to
-/// and including its first PROCESS-local one, contributing every sub-ANY
+/// Stage `s`'s claim words: `draw` masked to its pending set.
+fn claims_of(f: &Fixture, s: usize, draw: [u64; 2]) -> Vec<u64> {
+    let pw = f.pending[s].word_bits();
+    (0..pw.len()).map(|w| draw[w] & pw[w]).collect()
+}
+
+fn is_claimed(claimed: &[u64], k: u32) -> bool {
+    claimed
+        .get(k as usize / 64)
+        .is_some_and(|w| w >> (k % 64) & 1 == 1)
+}
+
+/// Brute-force `computeValidLocalityLevels` over stage `s`'s unclaimed
+/// pending tasks: each task walks executors in id order up to and
+/// including its first PROCESS-local one, contributing every sub-ANY
 /// level it sees; ANY is valid iff some task is unclaimed.
-fn brute_valid_levels(f: &Fixture, s: usize, claimed: u64) -> Vec<Locality> {
+fn brute_valid_levels(
+    f: &Fixture,
+    s: usize,
+    levels: &[Vec<Locality>],
+    claimed: &[u64],
+) -> Vec<Locality> {
     let mut seen = [false; 4];
     let mut any_unclaimed = false;
-    for k in f.pending[s].iter().filter(|&k| claimed >> k & 1 == 0) {
+    for (k, per_exec) in levels.iter().enumerate() {
+        let k = k as u32;
+        if !f.pending[s].contains(k) || is_claimed(claimed, k) {
+            continue;
+        }
         any_unclaimed = true;
-        for e in 0..f.topo.num_execs() as u32 {
-            let l = brute_level(&f.data, &f.topo, k, ExecId(e));
+        for &l in per_exec {
             seen[l.index()] = true;
             if l == Locality::Process {
                 break;
@@ -244,52 +362,54 @@ fn brute_valid_levels(f: &Fixture, s: usize, claimed: u64) -> Vec<Locality> {
     if !any_unclaimed {
         return Vec::new();
     }
-    let mut levels: Vec<Locality> = [Locality::Process, Locality::Node, Locality::Rack]
+    let mut valid: Vec<Locality> = [Locality::Process, Locality::Node, Locality::Rack]
         .into_iter()
         .filter(|l| seen[l.index()])
         .collect();
-    levels.push(Locality::Any);
-    levels
+    valid.push(Locality::Any);
+    valid
 }
 
 proptest! {
-    /// After every step of any valid interleaved history, every
+    /// After every step of any valid history, every exact and strict
     /// per-(executor, level) count of every live stage equals the
-    /// brute-force membership scan over its pending set, in both the
-    /// plain and strict variants — and the index's own from-scratch
-    /// consistency oracle agrees on both stages, live or not.
+    /// brute-force count over its pending tasks — and the index's own
+    /// from-scratch oracle agrees on both stages, live or not.
     #[test]
     fn inv_counts_match_brute_force_oracle(
-        steps in proptest::collection::vec(step_strategy(), 0..120),
+        shape in shape_strategy(),
+        reads in reads_strategy(),
+        steps in proptest::collection::vec(step_strategy(), 0..40),
     ) {
-        let mut f = build();
+        let mut f = build(&shape, &reads);
         for step in &steps {
             drive(step, &mut f);
             let ready: Vec<u32> = live_stages(&f).iter().map(|&s| s as u32).collect();
             prop_assert!(f.idx.check_live_set(&ready));
             for s in 0..2 {
-                prop_assert!(f.idx.check_inv_consistency(s, &f.pending[s]));
+                prop_assert!(f.idx.check_inv_consistency(s), "oracle drift at stage {}", s);
             }
+            let levels = brute_levels(&f);
             for s in live_stages(&f) {
-                for e in 0..f.topo.num_execs() as u32 {
-                    let e = ExecId(e);
+                let best: Vec<Locality> =
+                    levels[s].iter().map(|l| *l.iter().min().unwrap()).collect();
+                for e in 0..f.topo.num_execs() {
                     for level in Locality::ALL {
                         let (mut cnt, mut scnt) = (0u32, 0u32);
                         for k in f.pending[s].iter() {
-                            if brute_level(&f.data, &f.topo, k, e) == level {
+                            if levels[s][k as usize][e] == level {
                                 cnt += 1;
-                                if brute_best(&f, k) == level {
-                                    scnt += 1;
-                                }
+                                scnt += u32::from(best[k as usize] == level);
                             }
                         }
+                        let ex = ExecId(e as u32);
                         prop_assert_eq!(
-                            f.idx.pending_level_count(s, e, level), cnt,
-                            "count drift at stage {} exec {:?} level {:?}", s, e, level
+                            f.idx.pending_level_count(s, ex, level, &f.pending[s]), cnt,
+                            "count drift at stage {} exec {} level {:?}", s, e, level
                         );
                         prop_assert_eq!(
-                            f.idx.pending_strict_count(s, e, level), scnt,
-                            "strict count drift at stage {} exec {:?} level {:?}", s, e, level
+                            f.idx.pending_strict_count(s, ex, level, &f.pending[s]), scnt,
+                            "strict count drift at stage {} exec {} level {:?}", s, e, level
                         );
                     }
                 }
@@ -299,45 +419,52 @@ proptest! {
 
     /// The probe itself, differentially: after every step, for every live
     /// stage and every (executor, level, strict) combination,
-    /// [`LocalityIndex::scan_first`] returns exactly the brute-force first
-    /// pending task at that level — and the count gates agree with it
-    /// (zero ⟺ empty probe). Probing *inside* the history is the point:
-    /// the persistent scan memos get populated, then patched by residency
-    /// flips, filtered across pops, reset by re-inserts, and freed and
-    /// rebuilt across liveness flips, and must stay bit-equal to a fresh
-    /// scan throughout.
+    /// [`LocalityIndex::scan_first`] under a random claim subset returns
+    /// exactly the first unclaimed pending task at that level, and the
+    /// count gates agree with the unclaimed probe (zero ⟺ empty).
     #[test]
     fn scan_first_matches_fresh_scan_through_history(
-        steps in proptest::collection::vec(step_strategy(), 0..80),
+        shape in shape_strategy(),
+        reads in reads_strategy(),
+        steps in proptest::collection::vec((step_strategy(), claims_strategy()), 0..30),
     ) {
-        let mut f = build();
-        for step in &steps {
+        let mut f = build(&shape, &reads);
+        for (step, draw) in &steps {
             drive(step, &mut f);
+            let levels = brute_levels(&f);
             for s in live_stages(&f) {
-                for e in 0..f.topo.num_execs() as u32 {
-                    let e = ExecId(e);
+                let claimed = claims_of(&f, s, *draw);
+                let best: Vec<Locality> =
+                    levels[s].iter().map(|l| *l.iter().min().unwrap()).collect();
+                for e in 0..f.topo.num_execs() {
+                    let ex = ExecId(e as u32);
                     for level in Locality::ALL {
                         for strict in [false, true] {
-                            let fresh = f.pending[s].iter().find(|&k| {
-                                brute_level(&f.data, &f.topo, k, e) == level
-                                    && (!strict || brute_best(&f, k) == level)
-                            });
-                            let probe = f.idx.scan_first(s, e, level, strict, &f.pending[s], &[]);
+                            let first = |claimed: &[u64]| {
+                                f.pending[s].iter().find(|&k| {
+                                    !is_claimed(claimed, k)
+                                        && levels[s][k as usize][e] == level
+                                        && (!strict || best[k as usize] == level)
+                                })
+                            };
+                            let probe = f.idx.scan_first(s, ex, level, strict, &f.pending[s], &claimed);
                             prop_assert_eq!(
-                                probe, fresh,
-                                "probe diverged at stage {} exec {:?} level {:?} strict {}",
+                                probe, first(&claimed),
+                                "probe diverged at stage {} exec {} level {:?} strict {}",
                                 s, e, level, strict
                             );
+                            let open = f.idx.scan_first(s, ex, level, strict, &f.pending[s], &[]);
+                            prop_assert_eq!(open, first(&[]));
                             let cnt = if strict {
-                                f.idx.pending_strict_count(s, e, level)
+                                f.idx.pending_strict_count(s, ex, level, &f.pending[s])
                             } else {
-                                f.idx.pending_level_count(s, e, level)
+                                f.idx.pending_level_count(s, ex, level, &f.pending[s])
                             };
                             prop_assert_eq!(
                                 cnt > 0,
-                                probe.is_some(),
-                                "gate {} vs probe {:?} at stage {} exec {:?} level {:?} strict {}",
-                                cnt, probe, s, e, level, strict
+                                open.is_some(),
+                                "gate {} vs probe {:?} at stage {} exec {} level {:?} strict {}",
+                                cnt, open, s, e, level, strict
                             );
                         }
                     }
@@ -349,34 +476,26 @@ proptest! {
     /// Valid levels with claims, differentially: after every step, each
     /// live stage claims a random subset of its pending tasks (as an
     /// assignment batch does), and [`LocalityIndex::valid_levels`] must
-    /// equal the brute-force walk over the unclaimed ones. Querying
-    /// inside the history makes the fold initialize, follow pops and
-    /// re-inserts, and re-fold the readers each residency flip re-leveled
-    /// — so a claim on a just-re-leveled task subtracts its current mask.
+    /// equal the brute-force walk over the unclaimed ones.
     #[test]
     fn valid_levels_with_claims_match_brute_force(
-        steps in proptest::collection::vec((step_strategy(), 0u64..1 << (2 * N_TASKS)), 0..100),
+        shape in shape_strategy(),
+        reads in reads_strategy(),
+        steps in proptest::collection::vec((step_strategy(), claims_strategy()), 0..60),
     ) {
-        let mut f = build();
+        let mut f = build(&shape, &reads);
         for (step, draw) in &steps {
             drive(step, &mut f);
+            let levels = brute_levels(&f);
             for s in live_stages(&f) {
-                let pending_bits = f.pending[s].iter().fold(0u64, |m, k| m | 1 << k);
-                let claimed = draw >> (s as u32 * N_TASKS) & pending_bits;
-                let (levels, n) = f.idx.valid_levels(
-                    s,
-                    &f.pending[s],
-                    &[claimed],
-                    claimed.count_ones(),
-                );
+                let claimed = claims_of(&f, s, *draw);
+                let n_claimed = claimed.iter().map(|w| w.count_ones()).sum();
+                let (valid, n) = f.idx.valid_levels(s, &f.pending[s], &claimed, n_claimed);
                 prop_assert_eq!(
-                    levels[..n].to_vec(),
-                    brute_valid_levels(&f, s, claimed),
-                    "valid levels diverged at stage {} claims {:#b}", s, claimed
+                    valid[..n].to_vec(),
+                    brute_valid_levels(&f, s, &levels[s], &claimed),
+                    "valid levels diverged at stage {} claims {:?}", s, claimed
                 );
-            }
-            for s in 0..2 {
-                prop_assert!(f.idx.check_inv_consistency(s, &f.pending[s]));
             }
         }
     }
@@ -404,8 +523,8 @@ fn small_cluster() -> ClusterConfig {
 /// One end-to-end run in the dev profile: the simulator debug-asserts
 /// `check_inv_consistency` for every stage at every scheduling
 /// opportunity, so simply completing is the differential check. On top,
-/// the run must be deterministic and must never rebuild the inverted
-/// index after construction (the counter the CI guard pins at scale).
+/// the run must be deterministic and must never rebuild the index after
+/// construction (the counter the CI guard pins at scale).
 fn check_run(w: Workload, tasks: u32, iterations: u32, fault_seed: Option<u64>) {
     let scale = Scale {
         tasks,
@@ -429,11 +548,11 @@ fn check_run(w: Workload, tasks: u32, iterations: u32, fault_seed: Option<u64>) 
     let s = &a.metrics.sched;
     assert_eq!(
         s.inv_index_rebuilds, 1,
-        "inverted index rebuilt mid-run: {w:?} tasks={tasks} iters={iterations}"
+        "locality index rebuilt mid-run: {w:?} tasks={tasks} iters={iterations}"
     );
     assert!(
         s.inv_index_updates > 0,
-        "inverted index never updated: {w:?}"
+        "locality index never updated: {w:?}"
     );
     assert!(a
         .metrics
@@ -445,7 +564,7 @@ fn check_run(w: Workload, tasks: u32, iterations: u32, fault_seed: Option<u64>) 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Fault-free random workloads keep the inverted counts consistent
+    /// Fault-free random workloads keep the locality sets consistent
     /// (dev-profile oracle asserts) and rebuild-free.
     #[test]
     fn random_workloads_keep_inv_index_consistent(
