@@ -76,9 +76,9 @@ impl CachePolicy for Lrp {
         profile: &RefProfile,
         out: &mut Vec<BlockId>,
     ) {
-        // Same key as `prefetch_pick` — priority desc, block id asc — but
-        // each candidate's priority is computed exactly once, so the
-        // ranking can be shared across every executor of a node.
+        // Same key as `prefetch_pick` — priority desc, block id asc — so
+        // the first entry of any subset is the pick over it (the
+        // simulator's debug oracle for its size-class picks).
         out.clear();
         let mut keyed: Vec<(u64, BlockId)> = candidates
             .iter()

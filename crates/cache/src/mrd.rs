@@ -78,8 +78,8 @@ impl CachePolicy for Mrd {
         profile: &RefProfile,
         out: &mut Vec<BlockId>,
     ) {
-        // Same key as `prefetch_pick` — distance asc, block id asc — with
-        // each distance computed once so the ranking is shareable per node.
+        // Same key as `prefetch_pick` — distance asc, block id asc — so
+        // the first entry of any subset is the pick over it.
         out.clear();
         let mut keyed: Vec<(u64, BlockId)> = candidates
             .iter()

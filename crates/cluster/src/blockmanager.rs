@@ -74,6 +74,15 @@ pub trait CachePolicy {
     /// Pick the best block to prefetch from `candidates` (disk-resident,
     /// cache-eligible, not yet cached here). `None` = this policy doesn't
     /// prefetch (LRU, LRC).
+    ///
+    /// This is the method the simulator relies on: per node, it picks
+    /// once per block-size class of the node's candidates, then once per
+    /// executor among the class winners that fit its free space (a lone
+    /// fitting winner is taken as is). That is exact by the
+    /// [`prefetch_order`](Self::prefetch_order) agreement contract
+    /// (DESIGN.md §27). The pick must not depend on the order of
+    /// `candidates`, and, like the ranking, must be a function of
+    /// `candidates` and `profile` alone.
     fn prefetch_pick(&mut self, _candidates: &[BlockId], _profile: &RefProfile) -> Option<BlockId> {
         None
     }
@@ -81,21 +90,21 @@ pub trait CachePolicy {
     /// Rank `candidates` into full prefetch-preference order, best first,
     /// written into `out`. The ranking must not depend on the order of
     /// `candidates` (sort by a total key, e.g. one ending in the
-    /// `BlockId`): the simulator prunes and re-appends entries of its
-    /// candidate lists. Must agree with
+    /// `BlockId`). Must agree with
     /// [`prefetch_pick`](Self::prefetch_pick): for any subset of
     /// `candidates`, the first `out` entry belonging to that subset is
-    /// exactly the pick over it. The simulator relies on this to compute
-    /// one ranking per *node* and re-filter it per executor (by free cache
-    /// space) instead of re-scoring every candidate per executor. The
-    /// default (no prefetching) leaves `out` empty.
+    /// exactly the pick over it. The simulator's size-class picks are
+    /// exact because of this agreement; release builds never call this
+    /// method, and debug builds call it on every prefetch evaluation as
+    /// the oracle for those picks. The default (no prefetching) leaves
+    /// `out` empty.
     ///
     /// Purity contract: `out` is a function of `candidates` and `profile`
-    /// alone. The simulator relies on this to skip an executor's prefetch
-    /// evaluation while its BlockManager, the profile and block residency
-    /// are all unchanged since an evaluation that started nothing, and
-    /// to skip the call outright when `candidates` is empty (the ranking
-    /// of nothing is empty).
+    /// alone. The simulator relies on this (through the picks) to skip an
+    /// executor's prefetch evaluation while its BlockManager, the profile
+    /// and block residency are all unchanged since an evaluation that
+    /// started nothing, and to skip nodes with no candidates outright
+    /// (the ranking of nothing is empty).
     fn prefetch_order(
         &mut self,
         _candidates: &[BlockId],
@@ -370,6 +379,16 @@ impl BlockManager {
     #[cfg(debug_assertions)]
     pub(crate) fn has_fresh(&self) -> bool {
         !self.fresh.is_empty()
+    }
+
+    /// The policy's prefetch pick over `candidates`; see
+    /// [`CachePolicy::prefetch_pick`].
+    pub fn prefetch_pick(
+        &mut self,
+        candidates: &[BlockId],
+        profile: &RefProfile,
+    ) -> Option<BlockId> {
+        self.policy.prefetch_pick(candidates, profile)
     }
 
     /// Full prefetch-preference ranking; see

@@ -35,6 +35,7 @@ pub mod locality;
 pub mod locality_index;
 pub mod metrics;
 pub mod pending;
+mod prefetch;
 pub mod refprofile;
 pub mod scheduler;
 pub mod sim;
@@ -52,6 +53,7 @@ pub use locality::Locality;
 pub use locality_index::{IndexStats, LocalityIndex};
 pub use metrics::{CacheStats, FaultStats, Metrics, SchedulerStats, SimResult, TaskRun, TimePoint};
 pub use pending::PendingSet;
+pub use prefetch::fitting_pick;
 pub use refprofile::{RefProfile, StageRef};
 pub use scheduler::{Assignment, Scheduler};
 pub use sim::Simulation;

@@ -57,12 +57,13 @@
 
 use std::cell::Cell;
 
-use dagon_dag::{BlockId, JobDag};
+use dagon_dag::{BlockId, JobDag, RddId};
 
 use crate::config::ReadTier;
 use crate::hdfs::DataMap;
 use crate::locality::Locality;
 use crate::pending::PendingSet;
+use crate::prefetch::FlipSet;
 use crate::topology::{ExecId, NodeId, Topology};
 use crate::view::TaskView;
 
@@ -338,6 +339,19 @@ impl Residency {
         (self.rdd_base[b.rdd.index()] + b.partition) as usize
     }
 
+    /// Number of flat block ids.
+    fn num_blocks(&self) -> usize {
+        self.cached.len() / self.exec_words
+    }
+
+    /// The block with flat id `bi` (inverse of `flat_id`).
+    fn block_of(&self, bi: usize) -> BlockId {
+        // Bases are non-decreasing; the last RDD starting at or before
+        // `bi` is the one with a non-empty range holding it.
+        let r = self.rdd_base.partition_point(|&o| o as usize <= bi) - 1;
+        BlockId::new(RddId(r as u32), bi as u32 - self.rdd_base[r])
+    }
+
     #[inline]
     fn cached_row(&self, bi: usize) -> &[u64] {
         &self.cached[bi * self.exec_words..][..self.exec_words]
@@ -536,6 +550,14 @@ pub struct LocalityIndex {
     queries: Cell<u64>,
     inv_hits: Cell<u64>,
     inv_updates: u64,
+    /// Flat ids of the blocks that gained a disk replica, gained their
+    /// first cached copy or lost their last since the last
+    /// [`drain_candidate_flips`](Self::drain_candidate_flips). Empty
+    /// (recording nothing) until
+    /// [`watch_candidates`](Self::watch_candidates).
+    cand_flips: FlipSet,
+    /// Disk replicas removed since the last drain, while watched.
+    cand_disk_drops: Vec<(BlockId, NodeId)>,
 }
 
 impl LocalityIndex {
@@ -611,6 +633,8 @@ impl LocalityIndex {
             queries: Cell::new(0),
             inv_hits: Cell::new(0),
             inv_updates: 0,
+            cand_flips: FlipSet::default(),
+            cand_disk_drops: Vec::new(),
         };
         // The run's one from-scratch build: the initially live stages.
         for (s, &on) in live.iter().enumerate() {
@@ -684,6 +708,11 @@ impl LocalityIndex {
         let was_local = get_bit(self.res.node_row(bi), node.0);
         if self.res.flip_disk(bi, node.0, on) {
             self.global_gen += 1;
+            if on {
+                self.cand_flips.insert(bi);
+            } else if self.cand_flips.is_watching() {
+                self.cand_disk_drops.push((b, node));
+            }
             // Levels move only with the node-local bit, which a cached
             // copy on the node holds on its own.
             if get_bit(self.res.node_row(bi), node.0) != was_local {
@@ -696,8 +725,49 @@ impl LocalityIndex {
         let bi = self.res.flat_id(b);
         if self.res.flip_cached(bi, exec.0, on) {
             self.global_gen += 1;
+            // A first copy in leaves one, a last copy out leaves none.
+            if self.cand_flips.is_watching() {
+                let copies: u32 = self.res.cached_row(bi).iter().map(|w| w.count_ones()).sum();
+                if copies == u32::from(on) {
+                    self.cand_flips.insert(bi);
+                }
+            }
             self.relevel(bi, Some(exec.0), self.res.exec_node[exec.index()]);
         }
+    }
+
+    /// Start recording the prefetch-candidate flips
+    /// [`drain_candidate_flips`](Self::drain_candidate_flips) reports:
+    /// disk flips, and cached-anywhere flips (first copy in, last copy
+    /// out). Flips before this call are not recorded.
+    pub(crate) fn watch_candidates(&mut self) {
+        self.cand_flips = FlipSet::new(self.res.num_blocks());
+    }
+
+    /// Hand every flip recorded since the last drain to `f`, once per
+    /// block and ascending: `(b, None)` for a block whose disk replicas
+    /// grew or whose cached-anywhere state flipped, then `(b, Some(n))`
+    /// for each disk replica removed from node `n`. `f` sees the index.
+    pub(crate) fn drain_candidate_flips(
+        &mut self,
+        mut f: impl FnMut(&Self, BlockId, Option<NodeId>),
+    ) {
+        let mut flips = std::mem::take(&mut self.cand_flips);
+        flips.drain(|bi| f(self, self.res.block_of(bi), None));
+        self.cand_flips = flips;
+        let mut drops = std::mem::take(&mut self.cand_disk_drops);
+        for &(b, n) in &drops {
+            f(self, b, Some(n));
+        }
+        drops.clear();
+        self.cand_disk_drops = drops;
+    }
+
+    /// Is a flip waiting for
+    /// [`drain_candidate_flips`](Self::drain_candidate_flips)?
+    #[cfg(debug_assertions)]
+    pub(crate) fn has_candidate_flips(&self) -> bool {
+        !self.cand_flips.is_empty() || !self.cand_disk_drops.is_empty()
     }
 
     /// Re-derive block `bi`'s live readers' bits in the scopes a flip at
@@ -1277,6 +1347,36 @@ mod tests {
         let g2 = idx.generation();
         idx.remove_cached(b, ExecId(2)); // absent: no invalidation
         assert_eq!(idx.generation(), g2);
+    }
+
+    #[test]
+    fn candidate_flips_report_disk_flips_and_first_and_last_copies() {
+        let (_topo, mut idx, _) = build();
+        let drain = |idx: &mut LocalityIndex| {
+            let mut got = Vec::new();
+            idx.drain_candidate_flips(|_, b, n| got.push((b, n)));
+            got
+        };
+        let (b1, b4) = (BlockId::new(RddId(0), 1), BlockId::new(RddId(0), 4));
+        idx.add_cached(b1, ExecId(2)); // not watching yet
+        assert!(drain(&mut idx).is_empty());
+        idx.watch_candidates();
+        idx.add_cached(b1, ExecId(3)); // second copy: no flip
+        idx.remove_cached(b1, ExecId(2)); // one copy left: no flip
+        assert!(drain(&mut idx).is_empty());
+        idx.remove_cached(b1, ExecId(3)); // last copy out
+        idx.add_cached(b4, ExecId(0)); // first copy in
+        idx.add_cached(b4, ExecId(1));
+        idx.add_disk(b1, NodeId(3));
+        assert_eq!(
+            drain(&mut idx),
+            vec![(b1, None), (b4, None)],
+            "once each, ascending"
+        );
+        idx.remove_disk(b1, NodeId(3));
+        idx.remove_disk(b1, NodeId(3)); // absent: no flip
+        assert_eq!(drain(&mut idx), vec![(b1, Some(NodeId(3)))]);
+        assert!(drain(&mut idx).is_empty());
     }
 
     #[test]

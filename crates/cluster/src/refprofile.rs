@@ -8,6 +8,8 @@
 
 use dagon_dag::{BlockId, DepKind, JobDag, RddId, StageId};
 
+use crate::prefetch::FlipSet;
+
 /// One future use of a block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StageRef {
@@ -58,6 +60,11 @@ pub struct RefProfile {
     /// A `rebuild` ran since the last drain: every block may have
     /// changed.
     rebuilt: bool,
+    /// Flat ids of the blocks whose liveness flipped (use list emptied
+    /// or refilled) since the last
+    /// [`drain_live_flips`](Self::drain_live_flips). Empty (recording
+    /// nothing) until [`watch_liveness`](Self::watch_liveness).
+    live_flips: FlipSet,
 }
 
 impl RefProfile {
@@ -145,6 +152,29 @@ impl RefProfile {
         stages.clear();
         stages.append(&mut self.crossed);
         std::mem::take(&mut self.rebuilt)
+    }
+
+    /// Start recording liveness flips for
+    /// [`drain_live_flips`](Self::drain_live_flips). A later `rebuild`
+    /// is not recorded: call this after the last one.
+    pub(crate) fn watch_liveness(&mut self) {
+        self.live_flips = FlipSet::new(self.spans.len());
+    }
+
+    /// Hand every block whose liveness flipped since the last drain to
+    /// `f`, once each and ascending (a block that died and came back is
+    /// reported too). `f` sees the profile.
+    pub(crate) fn drain_live_flips(&mut self, mut f: impl FnMut(&Self, BlockId)) {
+        let mut flips = std::mem::take(&mut self.live_flips);
+        flips.drain(|i| f(self, self.block_at(i as u32)));
+        self.live_flips = flips;
+    }
+
+    /// Is a liveness flip waiting for
+    /// [`drain_live_flips`](Self::drain_live_flips)?
+    #[cfg(debug_assertions)]
+    pub(crate) fn has_live_flips(&self) -> bool {
+        !self.live_flips.is_empty()
     }
 
     /// Is any change waiting for [`drain_changes`](Self::drain_changes)?
@@ -252,6 +282,9 @@ impl RefProfile {
                 sp.len -= 1;
                 self.version += 1;
                 self.changed.push(i as u32);
+                if sp.len == 0 {
+                    self.live_flips.insert(i);
+                }
             }
         }
     }
@@ -278,6 +311,9 @@ impl RefProfile {
             sp.len += 1;
             self.version += 1;
             self.changed.push(i as u32);
+            if sp.len == 1 {
+                self.live_flips.insert(i);
+            }
         }
     }
 
@@ -408,6 +444,33 @@ mod tests {
 
         p.rebuild(&dag, &|_, _| false, &|_| false);
         assert!(p.drain_changes(&mut blocks, &mut stages));
+    }
+
+    #[test]
+    fn live_flips_record_deaths_and_revivals_once() {
+        let (_, mut p) = profile_at_start();
+        let drain = |p: &mut RefProfile| {
+            let mut got = Vec::new();
+            p.drain_live_flips(|_, b| got.push(b));
+            got
+        };
+        // A0 and C0 are each read once (by S0 and S1); D2 once, by S2.
+        let (a0, c0, d2) = (
+            BlockId::new(RddId(0), 0),
+            BlockId::new(RddId(1), 0),
+            BlockId::new(RddId(3), 2),
+        );
+        p.remove_use(a0, StageId(0)); // not watching yet
+        assert!(drain(&mut p).is_empty());
+        p.watch_liveness();
+        p.remove_use(d2, StageId(2)); // dies
+        p.remove_use(c0, StageId(1)); // dies ...
+        p.add_use(c0, StageId(1)); // ... and comes back
+        p.add_use(c0, StageId(1)); // already live: no flip
+        p.add_use(a0, StageId(0)); // revived
+        assert_eq!(drain(&mut p), vec![a0, c0, d2], "once each, ascending");
+        p.remove_use(c0, StageId(1)); // one use left: no flip
+        assert!(drain(&mut p).is_empty());
     }
 
     #[test]

@@ -31,6 +31,7 @@ use crate::locality::Locality;
 use crate::locality_index::LocalityIndex;
 use crate::metrics::{Metrics, SimResult, TaskRun, TimePoint};
 use crate::pending::PendingSet;
+use crate::prefetch::{fitting_pick, CandidateLists};
 use crate::refprofile::RefProfile;
 use crate::scheduler::{Assignment, Scheduler};
 use crate::topology::{ExecId, Topology};
@@ -74,10 +75,9 @@ struct RunningAttempt {
 
 /// One simulation run in progress.
 // lint: incremental(cview, mutators = [handle, launch, do_schedule, teardown_attempt, complete_stage, fail_attempt, requeue_task, exec_crash, exec_restart, resubmit_task, with_jobs, admit_job, reject_job], via = [apply, init_ready_list, set_stage_schedulable], oracle = check_consistency)
-// lint: incremental(data, mutators = [with_jobs, handle, launch, finish_task, complete_stage, proactive_drops, prefetch_arrive, exec_crash, block_loss, requeue_task, resubmit_task, admit_job, reject_job], via = [add_disk, add_cached, remove_cached, remove_disk], oracle = check_inv_consistency)
+// lint: incremental(data, mutators = [with_jobs, handle, launch, finish_task, complete_stage, proactive_drops, prefetch_scan, prefetch_arrive, exec_crash, block_loss, requeue_task, resubmit_task, admit_job, reject_job], via = [add_disk, add_cached, remove_cached, remove_disk], oracle = check_inv_consistency)
 // lint: incremental(jobs, mutators = [with_jobs, run, job_arrival, admit_job, reject_job, complete_stage, resubmit_task, launch, teardown_attempt], via = [on_arrival, admit_queued, on_stage_complete, on_stage_reopened, on_cores_consumed, on_cores_released], oracle = check_consistency)
-// lint: incremental(prefetch_key, mutators = [prefetch_scan], init = [new], oracle = check_prefetch_idle)
-// lint: incremental(disk_by_node, mutators = [finish_task, prefetch_scan, exec_crash, resubmit_task], init = [new], oracle = check_prefetch_candidates)
+// lint: incremental(prefetch_key, mutators = [prefetch_scan], init = [new], oracle = check_prefetch_pick)
 // lint: incremental(tick_dirty, mutators = [handle, launch, proactive_drops, resubmit_task], init = [new], oracle = check_quiet_tick)
 pub struct Simulation {
     dag: JobDag,
@@ -92,12 +92,10 @@ pub struct Simulation {
     /// initial [`DataMap`] placement and the only residency record after
     /// that.
     data: LocalityIndex,
-    /// Per node, the prefetch candidates on its disk: cache-eligible
-    /// blocks with a replica there, none dead as of the node's last
-    /// `prefetch_scan` (the scan prunes dead entries; a lineage
-    /// resubmission re-appends the ones it revives). Unordered: the
-    /// policies' rankings do not depend on candidate order.
-    disk_by_node: Vec<Vec<BlockId>>,
+    /// Per node, the prefetch candidates on its disk (cache-eligible,
+    /// live, cached nowhere), exact at every `prefetch_scan` once it has
+    /// synced them; `None` when prefetching is off.
+    prefetch_cands: Option<CandidateLists>,
     stages: Vec<StageRuntime>,
     /// stage → task → (block, MiB) inputs. `Arc` so a launch can hold the
     /// input list without cloning it while mutating cache state.
@@ -133,8 +131,9 @@ pub struct Simulation {
     /// data.generation())` after a prefetch evaluation that started
     /// nothing; `None` after one that started a transfer, so the slot's
     /// later arrival, staleness or crash-clear always re-evaluates. While
-    /// it matches, free space and the node ranking are unchanged, so the
-    /// evaluation would start nothing again and is skipped.
+    /// it matches, free space, the node's candidates and the policy's
+    /// picks over them are unchanged, so the evaluation would start
+    /// nothing again and is skipped.
     prefetch_key: Vec<Option<(u64, u64, u64)>>,
     /// Has anything a tick's cache work reads changed since the last
     /// tick took this flag? Set by every non-`Tick` event, every launch,
@@ -173,13 +172,8 @@ pub struct Simulation {
     /// crash destroyed. Drained between scheduler batches; only populated
     /// when faults are enabled.
     lost_pending: Vec<BlockId>,
-    /// Reused `prefetch_scan` candidate buffer (the per-exec-per-tick
-    /// collect was a measured allocation hot spot).
+    /// Reused `prefetch_scan` buffer: one node's size-class winners.
     prefetch_buf: Vec<BlockId>,
-    /// Reused per-node shared filter buffer for `prefetch_scan`: the
-    /// residency/liveness pass over `disk_by_node` is executor-independent
-    /// and runs once per node per scan, not once per executor.
-    prefetch_node_buf: Vec<BlockId>,
     /// Structured event sink ([`NullSink`] unless [`Self::with_sink`]
     /// installed a recorder). Write-only: nothing it holds feeds back
     /// into the simulation.
@@ -196,14 +190,6 @@ impl Simulation {
         let topo = Topology::build(&cfg.racks, cfg.execs_per_node);
         let n_exec = topo.num_execs();
         let data = DataMap::place_sources(&dag, &topo, cfg.hdfs_replication, cfg.seed);
-        let mut disk_by_node = vec![Vec::new(); topo.num_nodes()];
-        for rdd in dag.rdds().iter().filter(|r| r.is_source() && r.cached) {
-            for b in rdd.blocks() {
-                for n in data.disk_nodes(b) {
-                    disk_by_node[n.index()].push(b);
-                }
-            }
-        }
         let bms: Vec<BlockManager> = (0..n_exec)
             .map(|_| BlockManager::new(cfg.exec_cache_mb, cache()))
             .collect();
@@ -264,7 +250,10 @@ impl Simulation {
             .iter()
             .map(|s| s.ready && !s.completed && !s.pending.is_empty())
             .collect();
-        let data = LocalityIndex::new(&dag, &topo, &data, &task_views, &live);
+        let mut data = LocalityIndex::new(&dag, &topo, &data, &task_views, &live);
+        let prefetch_cands = cfg
+            .prefetch_free_frac
+            .map(|_| CandidateLists::new(&dag, topo.num_nodes(), &mut data, &mut profile));
         let attempt_seq: Vec<Vec<u32>> = dag
             .stages()
             .iter()
@@ -285,7 +274,7 @@ impl Simulation {
             exec_busy_cores: vec![0; n_exec],
             bms,
             data,
-            disk_by_node,
+            prefetch_cands,
             stages,
             task_inputs,
             narrow_mb,
@@ -320,7 +309,6 @@ impl Simulation {
             lost_pending: Vec::new(),
             producer_of_rdd,
             prefetch_buf: Vec::new(),
-            prefetch_node_buf: Vec::new(),
             sink: Box::new(NullSink),
             trace_on: false,
             topo,
@@ -1082,9 +1070,6 @@ impl Simulation {
         let out = BlockId::new(self.dag.stage(task.stage).output, task.index);
         if !self.data.on_disk_at(out, node) {
             self.data.add_disk(out, node);
-            if self.dag.rdd(out.rdd).cached {
-                self.disk_by_node[node.index()].push(out);
-            }
             if self.faults.enabled() {
                 // Remember whose files these are: an executor crash
                 // destroys the outputs it wrote to its node's disk.
@@ -1391,160 +1376,143 @@ impl Simulation {
         self.drop_victims = victims;
     }
 
-    /// The first block of the node ranking `order` that fits executor
-    /// `i`'s free cache space: the block a prefetch evaluation starts.
-    fn prefetch_fit(&self, i: usize, order: &[BlockId]) -> Option<BlockId> {
+    /// Oracle for one prefetch evaluation on executor `i`: `pick` is the
+    /// first block of the node's full ranking `order` that fits the
+    /// executor's free cache space (`None` when none fits).
+    #[cfg(debug_assertions)]
+    fn check_prefetch_pick(&self, i: usize, order: &[BlockId], pick: Option<BlockId>) -> bool {
         let free = self.bms[i].free_mb();
-        order
+        pick == order
             .iter()
             .copied()
             .find(|b| self.dag.rdd(b.rdd).block_mb <= free)
     }
 
-    /// Oracle for a skipped prefetch evaluation: with executor `i`'s
-    /// node ranking `order` recomputed, it would still start nothing.
-    fn check_prefetch_idle(&self, i: usize, order: &[BlockId]) -> bool {
-        self.prefetch_fit(i, order).is_none()
-    }
-
-    /// Oracle for a tick that took `tick_dirty` clear: no drop change is
-    /// waiting for a pass, and every executor's prefetch evaluation would
-    /// be skipped by eligibility or by its `prefetch_key`.
+    /// Oracle for a tick that took `tick_dirty` clear: no drop change or
+    /// candidate transition is waiting, and every executor's prefetch
+    /// evaluation would be skipped by eligibility, by an empty node or by
+    /// its `prefetch_key`.
     #[cfg(debug_assertions)]
     fn check_quiet_tick(&self) -> bool {
         let profile_v = self.profile.version();
         let gen = self.data.generation();
         !self.profile.has_changes()
+            && !self.profile.has_live_flips()
+            && !self.data.has_candidate_flips()
             && (0..self.bms.len()).all(|i| {
                 let prefetch_idle = self.cfg.prefetch_free_frac.is_none_or(|threshold| {
+                    let node = self.topo.node_of_exec(ExecId(i as u32)).index();
                     !self.faults.usable_idx(i)
                         || self.prefetch_inflight[i].is_some()
                         || self.bms[i].free_frac() < threshold
+                        || self
+                            .prefetch_cands
+                            .as_ref()
+                            .is_none_or(|c| c.node(node).is_empty())
                         || self.prefetch_key[i] == Some((self.bms[i].version(), profile_v, gen))
                 });
                 !self.bms[i].has_fresh() && prefetch_idle
             })
     }
 
-    /// Oracle for `prefetch_scan`'s pruned node list: the candidates
-    /// `got` drawn from `disk_by_node[node]` are exactly the from-scratch
-    /// filter over every cache-eligible block (order aside).
-    fn check_prefetch_candidates(&self, node: usize, got: &[BlockId]) -> bool {
-        let node_id = crate::topology::NodeId(node as u32);
-        let want: Vec<BlockId> = self
-            .dag
-            .rdds()
-            .iter()
-            .filter(|r| r.cached)
-            .flat_map(|r| r.blocks())
-            .filter(|&b| {
-                self.data.on_disk_at(b, node_id)
-                    && self.profile.is_live(b)
-                    && !self.data.is_cached_anywhere(b)
-            })
-            .collect();
-        let mut got = got.to_vec();
-        got.sort_unstable();
-        got == want
-    }
-
+    /// Start a prefetch on every executor whose free space crossed the
+    /// threshold and whose node has a candidate that fits (DESIGN.md
+    /// §27): per node, one `prefetch_pick` per size class, then per
+    /// executor the [`fitting_pick`] among those winners. Candidates and
+    /// residency cannot move mid-scan (insertions happen at
+    /// `PrefetchArrive`), so one node's winners serve all its executors.
+    /// Executors are visited in ascending id order (nodes hold
+    /// consecutive ids): same-time `PrefetchArrive` events fire in
+    /// insertion order.
     fn prefetch_scan(&mut self) {
-        let threshold = match self.cfg.prefetch_free_frac {
-            Some(f) => f,
-            None => return,
+        let (Some(threshold), Some(mut cands)) =
+            (self.cfg.prefetch_free_frac, self.prefetch_cands.take())
+        else {
+            return;
         };
-        // Both buffers are owned by the simulation and reused across
-        // executors and scans: prefetch scans fire every tick, and the
-        // per-scan `Vec` allocation showed up in the BENCH_3 profile.
-        // The candidate filter and the policy ranking are both
-        // executor-independent (block residency cannot move mid-scan —
-        // insertions happen at `PrefetchArrive`, never here), so each runs
-        // once per *node*: executors only re-filter the shared ranking by
-        // their own free cache space. The first ranked block that fits is
-        // exactly `prefetch_pick` over the fitting candidates (the
-        // `CachePolicy::prefetch_order` contract). Executor ids are
-        // node-consecutive, so a single "current node" marker suffices;
-        // a node whose executors are all skipped is never ranked.
-        let mut order = std::mem::take(&mut self.prefetch_buf);
-        let mut node_buf = std::mem::take(&mut self.prefetch_node_buf);
-        let mut cur_node = usize::MAX;
+        cands.sync(&mut self.data, &mut self.profile);
+        debug_assert!(
+            cands.check_all_nodes(&self.dag, &self.data, &self.profile),
+            "prefetch candidate lists differ from a fresh filter"
+        );
+        let mut winners = std::mem::take(&mut self.prefetch_buf);
         let profile_v = self.profile.version();
         let gen = self.data.generation();
-        for i in 0..self.bms.len() {
-            if !self.faults.usable_idx(i) {
-                continue; // dead/blacklisted executors don't prefetch
-            }
-            if self.prefetch_inflight[i].is_some() {
+        for (node, execs) in self.topo.node_execs.iter().enumerate() {
+            if cands.node(node).is_empty() {
                 continue;
             }
-            if self.bms[i].free_frac() < threshold {
-                continue;
-            }
-            let key = (self.bms[i].version(), profile_v, gen);
-            let unchanged = self.prefetch_key[i] == Some(key);
-            // Debug builds rank and check the skipped executors too.
-            if unchanged && !cfg!(debug_assertions) {
-                continue;
-            }
-            let exec = ExecId(i as u32);
-            let node = self.topo.node_of_exec(exec).index();
-            if node != cur_node {
-                cur_node = node;
-                node_buf.clear();
-                let (profile, data) = (&self.profile, &self.data);
-                // A dead block stays dead until a lineage resubmission
-                // revives it (and re-appends it), so it is pruned here.
-                self.disk_by_node[node].retain(|&b| {
-                    if !profile.is_live(b) {
-                        return false;
-                    }
-                    // "prefetches the in-disk data block": only blocks not
-                    // in memory anywhere — duplicating an already-cached
-                    // block concentrates process-locality instead of
-                    // widening it.
-                    if !data.is_cached_anywhere(b) {
-                        node_buf.push(b);
-                    }
-                    true
-                });
-                debug_assert!(
-                    self.check_prefetch_candidates(node, &node_buf),
-                    "node {node}'s prefetch candidates differ from a fresh filter"
-                );
-                // A node with no candidates has nothing to rank; clearing
-                // `order` keeps the previous node's ranking from leaking.
-                if node_buf.is_empty() {
-                    order.clear();
-                } else {
-                    self.bms[i].prefetch_order(&node_buf, &self.profile, &mut order);
+            let mut picked = false;
+            for &exec in execs {
+                let i = exec.index();
+                if !self.faults.usable_idx(i) {
+                    continue; // dead/blacklisted executors don't prefetch
                 }
-            }
-            if unchanged {
-                debug_assert!(
-                    self.check_prefetch_idle(i, &order),
-                    "skipped prefetch evaluation on exec {i} would start a transfer"
+                if self.prefetch_inflight[i].is_some() {
+                    continue;
+                }
+                if self.bms[i].free_frac() < threshold {
+                    continue;
+                }
+                let key = (self.bms[i].version(), profile_v, gen);
+                let unchanged = self.prefetch_key[i] == Some(key);
+                // Debug builds evaluate and check the skipped executors too.
+                if unchanged && !cfg!(debug_assertions) {
+                    continue;
+                }
+                if !picked {
+                    picked = true;
+                    let (bm, profile) = (&mut self.bms[i], &self.profile);
+                    winners.clear();
+                    winners.extend(
+                        cands
+                            .classes(node)
+                            .filter_map(|c| bm.prefetch_pick(c, profile)),
+                    );
+                }
+                let (bm, profile, dag) = (&mut self.bms[i], &self.profile, &self.dag);
+                let free = bm.free_mb();
+                let pick = fitting_pick(
+                    &winners,
+                    |b| dag.rdd(b.rdd).block_mb <= free,
+                    |w| bm.prefetch_pick(w, profile),
                 );
-                continue;
+                #[cfg(debug_assertions)]
+                {
+                    let mut order = Vec::new();
+                    self.bms[i].prefetch_order(cands.node(node), &self.profile, &mut order);
+                    debug_assert!(
+                        self.check_prefetch_pick(i, &order, pick),
+                        "size-class prefetch pick on exec {i} differs from the ranking's first fit"
+                    );
+                    debug_assert!(
+                        !unchanged || pick.is_none(),
+                        "skipped prefetch evaluation on exec {i} would start a transfer"
+                    );
+                }
+                if unchanged {
+                    continue;
+                }
+                let Some(b) = pick else {
+                    self.prefetch_key[i] = Some(key);
+                    continue;
+                };
+                let mb = self.dag.rdd(b.rdd).block_mb;
+                self.prefetch_inflight[i] = Some((b, mb));
+                self.prefetch_key[i] = None;
+                self.metrics.cache.prefetches += 1;
+                let dt = self
+                    .cfg
+                    .cost
+                    .read_ms(mb, ReadTier::NodeDisk)
+                    .round()
+                    .max(1.0) as SimTime;
+                self.queue
+                    .push(self.now + dt, Event::PrefetchArrive { block: b, exec });
             }
-            let Some(b) = self.prefetch_fit(i, &order) else {
-                self.prefetch_key[i] = Some(key);
-                continue;
-            };
-            let mb = self.dag.rdd(b.rdd).block_mb;
-            self.prefetch_inflight[i] = Some((b, mb));
-            self.prefetch_key[i] = None;
-            self.metrics.cache.prefetches += 1;
-            let dt = self
-                .cfg
-                .cost
-                .read_ms(mb, ReadTier::NodeDisk)
-                .round()
-                .max(1.0) as SimTime;
-            self.queue
-                .push(self.now + dt, Event::PrefetchArrive { block: b, exec });
         }
-        self.prefetch_buf = order;
-        self.prefetch_node_buf = node_buf;
+        self.prefetch_buf = winners;
+        self.prefetch_cands = Some(cands);
     }
 
     fn prefetch_arrive(&mut self, block: BlockId, exec: ExecId) {
@@ -1864,7 +1832,6 @@ impl Simulation {
         self.metrics.faults.disk_blocks_lost += outs.len() as u64;
         for b in &outs {
             self.data.remove_disk(*b, node);
-            self.disk_by_node[node.index()].retain(|x| x != b);
         }
         // 4. Whatever is now unrecoverable from storage but still needed
         //    is recomputed from lineage.
@@ -2013,19 +1980,9 @@ impl Simulation {
         let inserted = self.stages[si].pending.insert(k);
         debug_assert!(inserted);
         // The task's input reads re-enter the master's reference profile
-        // (they were removed when it finished). A block this revives may
-        // have been pruned from its nodes' prefetch candidates.
+        // (they were removed when it finished).
         for &(b, _) in self.task_inputs[si][k as usize].iter() {
-            let revived = !self.profile.is_live(b);
             self.profile.add_use(b, ps);
-            if revived && self.dag.rdd(b.rdd).cached {
-                for n in self.data.disk_nodes(b) {
-                    let list = &mut self.disk_by_node[n.index()];
-                    if !list.contains(&b) {
-                        list.push(b);
-                    }
-                }
-            }
         }
         let work = self.dag.stage(ps).task_work(k);
         self.tracker.on_task_requeued(TaskId::new(ps, k), work);

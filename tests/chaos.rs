@@ -378,3 +378,88 @@ fn revived_block_is_prefetched_again_after_pruning() {
     assert_eq!((c.prefetches, c.proactive_evictions), (3, 8));
     assert_eq!((res.jct, res.fingerprint()), (21700, 4997990354014738984));
 }
+
+/// The prefetch candidate lists through every transition kind, with two
+/// block sizes on one node's disk. `a` writes X0 and X1 (64 MiB, cached)
+/// and `e` writes W0 and W1 (16 MiB, cached), all read later: X by `c`,
+/// W by `d`. X1 dies once `c` finishes. At t=4850 W1 loses its only
+/// cached copy (on exec 1, which wrote it), so the t=4900 scan lists
+/// it. At t=4950 exec 1, which also ran `c`,
+/// crashes: the disk replicas it wrote (W1, X0 and `c`'s output Z) are
+/// gone, so W1 leaves the list, and recovery resubmits `e`'s task 1,
+/// `a`'s task 0 and `c`, which revives X1 on disk. Pinned to the values
+/// from before the lists were kept from transitions.
+#[test]
+fn two_size_candidates_follow_crash_loss_and_revival() {
+    let mut b = DagBuilder::new("prefetch_two_sizes");
+    let s1 = b.hdfs_rdd("s1", 2, 64.0);
+    let s2 = b.hdfs_rdd("s2", 1, 64.0);
+    let s3 = b.hdfs_rdd("s3", 2, 16.0);
+    let (_, x) = b
+        .stage("a")
+        .tasks(2)
+        .demand_cpus(1)
+        .cpu_ms(100)
+        .reads_narrow(s1)
+        .output_mb(64.0)
+        .cache_output()
+        .build();
+    let (_, w) = b
+        .stage("e")
+        .tasks(2)
+        .demand_cpus(1)
+        .cpu_ms(100)
+        .reads_narrow(s3)
+        .output_mb(16.0)
+        .cache_output()
+        .build();
+    let (_, z) = b
+        .stage("c")
+        .tasks(1)
+        .demand_cpus(1)
+        .cpu_ms(100)
+        .reads_wide(x)
+        .build();
+    let (_, y) = b
+        .stage("b")
+        .tasks(1)
+        .demand_cpus(1)
+        .cpu_ms(20_000)
+        .reads_narrow(s2)
+        .build();
+    let _ = b
+        .stage("d")
+        .tasks(1)
+        .demand_cpus(1)
+        .cpu_ms(100)
+        .reads_wide(z)
+        .reads_wide(y)
+        .reads_wide(w)
+        .build();
+    let dag = b.build().unwrap();
+    let mut cluster = ClusterConfig::tiny(1, 1);
+    cluster.execs_per_node = 3;
+    cluster.prefetch_free_frac = Some(0.05);
+    cluster.faults = Some(
+        FaultPlan::none()
+            .and(
+                4_850,
+                FaultKind::BlockLoss {
+                    block: BlockId::new(w, 1),
+                    exec: ExecId(1),
+                },
+            )
+            .and(
+                4_950,
+                FaultKind::ExecCrash {
+                    exec: ExecId(1),
+                    restart_after_ms: Some(1),
+                },
+            ),
+    );
+    let res = run_system(&dag, &cluster, &System::dagon()).result;
+    let (c, f) = (&res.metrics.cache, &res.metrics.faults);
+    assert_eq!((f.disk_blocks_lost, f.tasks_recomputed), (3, 3));
+    assert_eq!((c.lost, c.prefetches), (1, 6));
+    assert_eq!((res.jct, res.fingerprint()), (21707, 8890413384186854024));
+}
