@@ -5,8 +5,11 @@
 //! setting used by the `repro` binary, [`ExpConfig::quick`] a scaled-down
 //! variant fast enough for CI tests (same shapes, smaller magnitudes).
 
-use dagon_cluster::{ClusterConfig, FaultPlan, Locality, LocalityWait, SimResult, TimePoint};
+use dagon_cluster::{
+    ArrivalSpec, ClusterConfig, FaultPlan, Locality, LocalityWait, SimResult, TimePoint,
+};
 use dagon_dag::{JobDag, StageId, SEC_MS};
+use dagon_tenancy::{StreamJob, StreamOptions, TenantStream};
 use dagon_workloads::{Scale, Workload};
 use rayon::prelude::*;
 
@@ -599,30 +602,47 @@ pub struct MultiTenantCell {
     pub cpu_util: f64,
 }
 
-/// Run a staggered three-job mix (KMeans @0, LinearRegression @10 s,
-/// ConnectedComponent @20 s) under each system. The paper motivates Dagon
+/// The staggered three-job mix (KMeans @0, LinearRegression @10 s,
+/// ConnectedComponent @20 s), lowered with arrivals baked into stage
+/// release times.
+pub fn multi_tenant_mix(scale: &Scale) -> TenantStream {
+    let mix = [
+        (Workload::KMeans, 0),
+        (Workload::LinearRegression, 10_000),
+        (Workload::ConnectedComponent, 20_000),
+    ];
+    let jobs: Vec<StreamJob> = mix
+        .into_iter()
+        .map(|(w, at)| StreamJob {
+            tenant: 0,
+            name: w.name().to_string(),
+            arrival: ArrivalSpec::Open { at },
+            dag: w.build(scale),
+        })
+        .collect();
+    TenantStream::from_jobs(
+        &jobs,
+        Vec::new(),
+        &StreamOptions {
+            static_release: true,
+        },
+    )
+}
+
+/// Run [`multi_tenant_mix`] under each system. The paper motivates Dagon
 /// partly by multi-tenancy (Eq. 3's `RC` varies at runtime); merging jobs
 /// into one DAG lets every scheduler arbitrate inter-job contention, and
 /// Eq. (6) naturally ranks stages across jobs.
 pub fn multi_tenant(cfg: &ExpConfig, systems: &[System]) -> Vec<MultiTenantCell> {
-    let mut set = dagon_dag::JobSet::new();
-    set.add(Workload::KMeans.build(&cfg.scale), 0);
-    set.add(Workload::LinearRegression.build(&cfg.scale), 10_000);
-    set.add(Workload::ConnectedComponent.build(&cfg.scale), 20_000);
-    let (dag, slots) = set.merge();
+    let stream = multi_tenant_mix(&cfg.scale);
     systems
         .par_iter()
         .map(|sys| {
-            let out = run_system(&dag, &cfg.cluster, sys);
-            let job_jct_s = slots
-                .iter()
-                .map(|slot| {
-                    dagon_dag::job_completion_ms(slot, |s| {
-                        out.result.metrics.per_stage[s.index()].completed_at
-                    })
-                    .expect("all jobs complete") as f64
-                        / 1000.0
-                })
+            let out = run_system(&stream.dag, &cfg.cluster, sys);
+            let job_jct_s = stream
+                .static_job_jcts(&out.result)
+                .into_iter()
+                .map(|jct| jct.expect("all jobs complete") as f64 / 1000.0)
                 .collect();
             MultiTenantCell {
                 system: sys.label(),

@@ -24,7 +24,6 @@ pub mod examples;
 pub mod generate;
 pub mod graph;
 pub mod ids;
-pub mod multi;
 pub mod priority;
 pub mod rdd;
 pub mod resources;
@@ -33,7 +32,6 @@ pub mod stage;
 pub use dag::{DagBuilder, DagError, JobDag, StageBuilder};
 pub use estimates::StageEstimates;
 pub use ids::{BlockId, RddId, StageId, TaskId};
-pub use multi::{job_completion_ms, JobSet, JobSlot};
 pub use priority::{PriorityTracker, Work};
 pub use rdd::{Rdd, RddSource};
 pub use resources::{Resources, SimTime, MIN_MS, SEC_MS};

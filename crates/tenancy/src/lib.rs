@@ -6,12 +6,13 @@
 //!   closed-loop think-time clients, with heavy-tailed (bounded-Pareto)
 //!   job-size mixes drawn from `dagon-workloads`. Fully deterministic per
 //!   seed.
-//! * [`stream`] — merges a generated job stream into one simulator DAG
-//!   (mirroring `dagon_dag::multi`, which is the *static* pre-merge
-//!   alternative) and produces the [`dagon_cluster::JobsRuntime`] specs
-//!   that drive dynamic admission. Optionally dedups identical HDFS
-//!   source RDDs across jobs so one tenant's cached scan serves another
-//!   tenant's identical scan through the shared `BlockManager`.
+//! * [`stream`] — the one multi-job lowering: merges a job list into one
+//!   simulator DAG with two release modes. Dynamic release produces the
+//!   [`dagon_cluster::JobsRuntime`] specs that drive admission; static
+//!   release bakes open-loop arrivals into stage release times for a
+//!   plain batch run. Identical HDFS source RDDs are shared across jobs
+//!   so one tenant's cached scan serves another tenant's identical scan
+//!   through the shared `BlockManager`.
 //! * [`report`] — per-tenant metrics out of a finished run: JCT p50/p99,
 //!   queueing delay, makespan, per-tenant cache hits, and Jain's fairness
 //!   index.

@@ -1,34 +1,43 @@
-//! Stream → merged-DAG lowering.
+//! Job list → merged-DAG lowering: the one place where concurrent jobs
+//! become a single simulator DAG.
 //!
 //! The simulator's per-stage vectors and locality index cannot grow
-//! mid-run, so an online stream is lowered to **one** merged [`JobDag`] up
-//! front — the same renumbering walk as `dagon_dag::multi` — and the jobs
-//! are *gated* instead: every stage carries `release_ms = 0` and
-//! `Simulation::with_jobs` un-readies them until their job's
-//! `Event::JobArrival` passes admission. [`StreamOptions::static_release`]
-//! flips that around and bakes arrivals into `release_ms`, reproducing the
-//! `multi.rs` pre-merge semantics from the *same* builder walk — both
-//! variants allocate identical stage/RDD ids, which is what lets the
-//! static-vs-dynamic cross-test demand identical per-job JCTs under FIFO.
+//! mid-run, so a job list is lowered to **one** merged [`JobDag`] up
+//! front: each job's stages are rebuilt, in input order, into a contiguous
+//! block of stage ids. One builder walk serves two release modes, and both
+//! allocate identical stage/RDD ids:
 //!
-//! With [`StreamOptions::share_inputs`] on, HDFS source RDDs that are
-//! byte-identical across jobs (same dataset name, partitioning and block
-//! size) are created **once** and shared: a stage of tenant B reading the
-//! dataset tenant A just scanned hits A's cached or already-materialized
-//! blocks through the shared `BlockManager`, with the hit charged to B's
-//! stage in the per-tenant cache accounting. The persist flag ORs across
-//! the sharers, so one tenant persisting a dataset benefits all.
+//! * **dynamic** (the default): every stage carries `release_ms = 0` and
+//!   `Simulation::with_jobs` un-readies them until their job's
+//!   `Event::JobArrival` passes admission. This is what per-tenant queues,
+//!   admission caps and closed-loop clients need.
+//! * **static** ([`StreamOptions::static_release`]): arrivals are baked
+//!   into `release_ms`, so the merged DAG runs under a plain batch
+//!   simulation with no job runtime, and
+//!   [`TenantStream::static_job_jcts`] reads the per-job JCTs back. Every
+//!   arrival must be open-loop.
 //!
-//! One special case: a single-job stream embeds the job's DAG *verbatim*
-//! (no rebuild). RDD ids then allocate in the original builder order, so
-//! HDFS placement — which scans source RDDs in id order — is bit-identical
-//! to the plain batch run, and a one-job stream reproduces the single-job
-//! goldens exactly.
+//! Identical ids are what let the static-vs-dynamic cross-test
+//! (`tests/tenancy.rs`) demand identical per-job JCTs under FIFO.
+//!
+//! HDFS source RDDs that are byte-identical across jobs (same dataset
+//! name, partitioning and block size) are created **once** and shared: a
+//! stage of tenant B reading the dataset tenant A just scanned hits A's
+//! cached or already-materialized blocks through the shared
+//! `BlockManager`, with the hit charged to B's stage in the per-tenant
+//! cache accounting. The persist flag ORs across the sharers, so one
+//! tenant persisting a dataset benefits all.
+//!
+//! One special case: a single-job dynamic stream embeds the job's DAG
+//! *verbatim* (no rebuild). RDD ids then allocate in the original builder
+//! order, so HDFS placement — which scans source RDDs in id order — is
+//! bit-identical to the plain batch run, and a one-job stream reproduces
+//! the single-job goldens exactly.
 
 use std::collections::BTreeMap;
 
-use dagon_cluster::{AdmissionConfig, ArrivalSpec, JobSpec, JobsRuntime};
-use dagon_dag::{DagBuilder, DepKind, JobDag, RddId, RddSource, StageId};
+use dagon_cluster::{AdmissionConfig, ArrivalSpec, JobSpec, JobsRuntime, SimResult};
+use dagon_dag::{DagBuilder, DepKind, JobDag, RddId, RddSource, SimTime, StageId};
 
 use crate::arrivals::{generate_stream, StreamJob, TenantSpec};
 use dagon_workloads::Scale;
@@ -41,23 +50,12 @@ pub struct TenantMeta {
 }
 
 /// Lowering knobs.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct StreamOptions {
-    /// Dedup identical HDFS sources across jobs (inter-job shared cache).
-    pub share_inputs: bool,
-    /// Bake arrivals into `release_ms` (static `multi.rs` semantics)
-    /// instead of gating via dynamic admission. Requires every arrival to
-    /// be open-loop; incompatible with `Simulation::with_jobs`.
+    /// Bake arrivals into `release_ms` (static release) instead of gating
+    /// via dynamic admission. Requires every arrival to be open-loop;
+    /// incompatible with `Simulation::with_jobs`.
     pub static_release: bool,
-}
-
-impl Default for StreamOptions {
-    fn default() -> Self {
-        Self {
-            share_inputs: true,
-            static_release: false,
-        }
-    }
 }
 
 /// A lowered stream: the merged DAG plus everything the runtime layers
@@ -86,6 +84,10 @@ impl TenantStream {
 
     /// Lower an explicit job list. `tenants` may be empty, in which case
     /// default metadata (`tenant<i>`, weight 1) is synthesized.
+    ///
+    /// Stage ids follow the *input* order of `jobs`; nothing is re-sorted
+    /// by arrival. Pass jobs in arrival order so that FIFO's stage-id
+    /// order is Spark's FIFO-across-jobs order.
     pub fn from_jobs(jobs: &[StreamJob], tenants: Vec<TenantMeta>, opts: &StreamOptions) -> Self {
         assert!(!jobs.is_empty(), "TenantStream over an empty job list");
         let num_tenants = jobs.iter().map(|j| j.tenant + 1).max().unwrap() as usize;
@@ -127,19 +129,17 @@ impl TenantStream {
         // reading the same dataset, so the shared copy is cache-eligible
         // if *any* sharer persists it.
         let mut shared_cached: BTreeMap<(String, u32, u64), bool> = BTreeMap::new();
-        if opts.share_inputs {
-            for job in jobs {
-                for rdd in job.dag.rdds() {
-                    if matches!(rdd.source, RddSource::Hdfs) {
-                        *shared_cached
-                            .entry((rdd.name.clone(), rdd.num_partitions, rdd.block_mb.to_bits()))
-                            .or_insert(false) |= rdd.cached;
-                    }
+        for job in jobs {
+            for rdd in job.dag.rdds() {
+                if matches!(rdd.source, RddSource::Hdfs) {
+                    *shared_cached
+                        .entry((rdd.name.clone(), rdd.num_partitions, rdd.block_mb.to_bits()))
+                        .or_insert(false) |= rdd.cached;
                 }
             }
         }
 
-        // The multi.rs renumbering walk, plus sharing and the
+        // The renumbering walk, with shared sources and the
         // static/dynamic release switch.
         let mut b = DagBuilder::new("tenant-stream");
         let mut shared: BTreeMap<(String, u32, u64), RddId> = BTreeMap::new();
@@ -155,28 +155,15 @@ impl TenantStream {
                     if !matches!(rdd.source, RddSource::Hdfs) || rdd_map.contains_key(&rdd.id) {
                         continue;
                     }
-                    let new = if opts.share_inputs {
-                        let key = (rdd.name.clone(), rdd.num_partitions, rdd.block_mb.to_bits());
-                        if let Some(&id) = shared.get(&key) {
-                            id
-                        } else {
-                            let id = b.hdfs_rdd_cached(
-                                &format!("shared_{}p{}", rdd.name, rdd.num_partitions),
-                                rdd.num_partitions,
-                                rdd.block_mb,
-                                shared_cached[&key],
-                            );
-                            shared.insert(key, id);
-                            id
-                        }
-                    } else {
+                    let key = (rdd.name.clone(), rdd.num_partitions, rdd.block_mb.to_bits());
+                    let new = *shared.entry(key).or_insert_with_key(|key| {
                         b.hdfs_rdd_cached(
-                            &format!("j{job_idx}_{}", rdd.name),
+                            &format!("shared_{}p{}", rdd.name, rdd.num_partitions),
                             rdd.num_partitions,
                             rdd.block_mb,
-                            rdd.cached,
+                            shared_cached[key],
                         )
-                    };
+                    });
                     rdd_map.insert(rdd.id, new);
                 }
                 let release = if opts.static_release {
@@ -224,6 +211,25 @@ impl TenantStream {
         }
     }
 
+    /// Per-job JCTs of a static-release run, in job order: the latest
+    /// completion among the job's stages minus its arrival. `result` is
+    /// a plain batch run of [`Self::dag`]. A job with a stage that never
+    /// completed gets `None`.
+    pub fn static_job_jcts(&self, result: &SimResult) -> Vec<Option<SimTime>> {
+        self.specs
+            .iter()
+            .map(|spec| {
+                let ArrivalSpec::Open { at } = spec.arrival else {
+                    panic!("{}: static release needs open-loop arrivals", spec.name)
+                };
+                let done = spec.stages.iter().try_fold(0, |latest: SimTime, s| {
+                    Some(latest.max(result.metrics.per_stage[s.index()].completed_at?))
+                })?;
+                Some(done.saturating_sub(at))
+            })
+            .collect()
+    }
+
     /// The dynamic-admission runtime for this stream.
     pub fn runtime(&self, admission: AdmissionConfig) -> JobsRuntime {
         JobsRuntime::new(self.specs.clone(), admission, self.dag.num_stages())
@@ -264,56 +270,26 @@ mod tests {
     }
 
     #[test]
-    fn share_inputs_dedups_identical_sources() {
+    fn identical_jobs_share_their_hdfs_sources() {
         let jobs = two_job_stream();
-        let shared = TenantStream::from_jobs(
-            &jobs,
-            Vec::new(),
-            &StreamOptions {
-                share_inputs: true,
-                static_release: false,
-            },
-        );
-        let private = TenantStream::from_jobs(
-            &jobs,
-            Vec::new(),
-            &StreamOptions {
-                share_inputs: false,
-                static_release: false,
-            },
-        );
-        let count_hdfs = |dag: &JobDag| {
-            dag.rdds()
+        let count_hdfs = |jobs: &[StreamJob]| {
+            let stream = TenantStream::from_jobs(jobs, Vec::new(), &StreamOptions::default());
+            stream
+                .dag
+                .rdds()
                 .iter()
                 .filter(|r| matches!(r.source, RddSource::Hdfs))
                 .count()
         };
-        // Two identical CC jobs: private mode duplicates every source,
-        // shared mode keeps one copy of each.
-        assert_eq!(count_hdfs(&shared.dag) * 2, count_hdfs(&private.dag));
-        assert_eq!(shared.dag.num_stages(), private.dag.num_stages());
-        // Stage ids are unaffected by sharing (only RDD ids shift).
-        assert_eq!(
-            shared
-                .specs
-                .iter()
-                .map(|s| s.stages.clone())
-                .collect::<Vec<_>>(),
-            private
-                .specs
-                .iter()
-                .map(|s| s.stages.clone())
-                .collect::<Vec<_>>(),
-        );
+        // Two identical CC jobs keep one copy of each source, exactly as
+        // many as one CC job.
+        assert_eq!(count_hdfs(&jobs), count_hdfs(&jobs[..1]));
     }
 
     #[test]
     fn static_and_dynamic_lowerings_share_ids() {
         let jobs = two_job_stream();
-        let opts = |sr| StreamOptions {
-            share_inputs: false,
-            static_release: sr,
-        };
+        let opts = |static_release| StreamOptions { static_release };
         let dynamic = TenantStream::from_jobs(&jobs, Vec::new(), &opts(false));
         let statik = TenantStream::from_jobs(&jobs, Vec::new(), &opts(true));
         assert_eq!(dynamic.dag.num_stages(), statik.dag.num_stages());
@@ -328,8 +304,25 @@ mod tests {
         for s in &statik.specs[1].stages {
             assert_eq!(statik.dag.stage(*s).release_ms, 5_000);
         }
+        for s in &statik.specs[0].stages {
+            assert_eq!(statik.dag.stage(*s).release_ms, 0);
+        }
+        // Shared sources aside, no stage depends on another job's stage.
+        for spec in &statik.specs {
+            for s in &spec.stages {
+                for p in statik.dag.parents(*s) {
+                    assert!(spec.stages.contains(p), "cross-job parent {p}");
+                }
+            }
+        }
         assert_eq!(dynamic.specs.len(), 2);
         assert_eq!(dynamic.tenants.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty")]
+    fn empty_job_list_panics() {
+        let _ = TenantStream::from_jobs(&[], Vec::new(), &StreamOptions::default());
     }
 
     #[test]

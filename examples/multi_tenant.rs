@@ -38,6 +38,6 @@ fn main() {
     }
     println!("\nAt this toy scale the ranking is noisy; the full-scale study");
     println!("(`cargo run -p dagon-bench --bin repro --release -- multitenant`)");
-    println!("shows Dagon cutting the mix makespan ~26% and lifting utilization,");
+    println!("shows Dagon cutting the mix makespan ~29% and lifting utilization,");
     println!("because cross-job contention is exactly the overlap Eq. (6) ranks.");
 }

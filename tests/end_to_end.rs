@@ -241,23 +241,39 @@ fn determinism_across_full_stack() {
 
 #[test]
 fn multi_tenant_merge_runs_and_reports_per_job_jct() {
-    use dagon_dag::{job_completion_ms, JobSet};
-    use dagon_workloads::{Scale, Workload};
+    use dagon_cluster::ArrivalSpec;
+    use dagon_tenancy::{StreamJob, StreamOptions, TenantStream};
     let scale = Scale::tiny();
-    let mut set = JobSet::new();
-    set.add(Workload::KMeans.build(&scale), 0);
-    set.add(Workload::LinearRegression.build(&scale), 2_000);
-    let (dag, slots) = set.merge();
-    let out = run_system(&dag, &tiny_cluster(), &System::dagon());
-    for slot in &slots {
-        let jct = job_completion_ms(slot, |s| {
-            out.result.metrics.per_stage[s.index()].completed_at
-        })
-        .expect("job completed");
-        assert!(jct > 0, "{}", slot.name);
-    }
+    let mk = |w: Workload, at: u64| StreamJob {
+        tenant: 0,
+        name: w.name().to_string(),
+        arrival: ArrivalSpec::Open { at },
+        dag: w.build(&scale),
+    };
+    let jobs = vec![
+        mk(Workload::KMeans, 0),
+        mk(Workload::LinearRegression, 2_000),
+    ];
+    let stream = TenantStream::from_jobs(
+        &jobs,
+        Vec::new(),
+        &StreamOptions {
+            static_release: true,
+        },
+    );
+    let out = run_system(&stream.dag, &tiny_cluster(), &System::dagon());
+    let jcts: Vec<u64> = stream
+        .static_job_jcts(&out.result)
+        .into_iter()
+        .map(|jct| jct.expect("job completed"))
+        .collect();
+    assert_eq!(jcts, [18791, 18943]);
+    assert_eq!(
+        (out.result.jct, out.result.fingerprint()),
+        (20943, 18340016831018370870)
+    );
     // The second job cannot have started before its arrival.
-    let first_launch = slots[1]
+    let first_launch = stream.specs[1]
         .stages
         .iter()
         .filter_map(|s| out.result.metrics.per_stage[s.index()].first_launch)

@@ -9,7 +9,7 @@
 //! `cargo test --release --test golden -- --ignored print_golden --nocapture`
 
 use dagon_cluster::{ClusterConfig, ExecId, FaultKind, FaultPlan, SimResult};
-use dagon_core::experiments::ExpConfig;
+use dagon_core::experiments::{multi_tenant_mix, ExpConfig};
 use dagon_core::{run_system, System};
 use dagon_dag::examples::{fig1, tiny_chain};
 use dagon_dag::JobDag;
@@ -25,7 +25,8 @@ fn fingerprint(r: &SimResult) -> (u64, u64) {
     (r.jct, r.fingerprint())
 }
 
-/// The four scenarios of the acceptance criterion, × the fig8 lineup.
+/// The four scenarios of the acceptance criterion plus the static
+/// three-job multi-tenant mix, × the fig8 lineup.
 fn scenarios() -> Vec<(&'static str, JobDag, ClusterConfig)> {
     let quick = ExpConfig::quick();
     vec![
@@ -39,6 +40,11 @@ fn scenarios() -> Vec<(&'static str, JobDag, ClusterConfig)> {
         (
             "CC-quick",
             Workload::ConnectedComponent.build(&quick.scale),
+            quick.cluster.clone(),
+        ),
+        (
+            "mix3-quick",
+            multi_tenant_mix(&quick.scale).dag,
             quick.cluster.clone(),
         ),
     ]
@@ -108,6 +114,11 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("CC-quick/Graphene+LRU", 51318, 5786794090166402431),
     ("CC-quick/Graphene+MRD", 49135, 14090999386727238774),
     ("CC-quick/Dagon", 50006, 14939127398690536188),
+    // KMeans @0 + LinR @10 s + CC @20 s, arrivals baked into releases.
+    ("mix3-quick/FIFO+LRU", 148060, 13776759938759488333),
+    ("mix3-quick/Graphene+LRU", 143140, 10006719505837446679),
+    ("mix3-quick/Graphene+MRD", 137184, 12824803377517218998),
+    ("mix3-quick/Dagon", 132937, 10412253203593255893),
     // Chaos scenarios: fixed fault plans, so recovery paths are pinned too.
     ("tiny_chain+crash/Dagon", 9066, 6312598547193644888),
     ("CC-quick+chaos11/Dagon", 62462, 11643879037322600220),

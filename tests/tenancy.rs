@@ -3,9 +3,10 @@
 //! * **Differential**: a single-job stream under dynamic admission is
 //!   bit-identical to the classic batch run — pinned against the same
 //!   constants as `tests/golden.rs`.
-//! * **Static ≡ dynamic**: the `multi.rs`-style pre-merge lowering
-//!   (arrivals baked into `release_ms`) and dynamic admission produce the
-//!   same per-job JCTs for the same job set under FIFO.
+//! * **Static ≡ dynamic**: the stream lowering's two release modes —
+//!   arrivals baked into `release_ms` under a plain batch run, and
+//!   dynamic admission — produce the same per-job JCTs for the same job
+//!   set (one job re-reading another's dataset) under FIFO.
 //! * **Determinism**: same seed ⇒ bit-identical stream, schedule and
 //!   per-job outcomes; different seed ⇒ different stream.
 //! * **Starvation regression**: a bursty heavy tenant cannot starve a
@@ -90,23 +91,21 @@ fn open_loop_jobs(scale: &Scale) -> Vec<StreamJob> {
         mk(0, Workload::KMeans, 0, 0),
         mk(1, Workload::LinearRegression, 2_000, 0),
         mk(0, Workload::TriangleCount, 4_000, 1),
+        // Re-reads job 0's dataset through the shared source.
+        mk(1, Workload::KMeans, 6_000, 1),
     ]
 }
 
-/// The documented `multi.rs` equivalence: baking arrivals into
-/// `release_ms` (static pre-merge) and gating via dynamic admission run
-/// the same schedule under FIFO — same job set, same arrivals, same
-/// per-job JCTs.
+/// The static ≡ dynamic oracle: baking arrivals into `release_ms` and
+/// gating via dynamic admission run the same schedule under FIFO — same
+/// job set, same arrivals, same per-job JCTs.
 #[test]
 fn static_premerge_and_dynamic_admission_agree_under_fifo() {
     let scale = Scale::tiny();
     let jobs = open_loop_jobs(&scale);
     // Identical builder walk, only the release mode differs — so stage ids
     // line up one-to-one across the two lowerings.
-    let opts = |static_release| StreamOptions {
-        share_inputs: false,
-        static_release,
-    };
+    let opts = |static_release| StreamOptions { static_release };
     let dynamic = TenantStream::from_jobs(&jobs, Vec::new(), &opts(false));
     let statik = TenantStream::from_jobs(&jobs, Vec::new(), &opts(true));
     let cluster = ClusterConfig::tiny(4, 8);
@@ -119,21 +118,15 @@ fn static_premerge_and_dynamic_admission_agree_under_fifo() {
     );
     let stat_out = run_system(&statik.dag, &cluster, &System::stock_spark());
 
-    for (spec, outcome) in statik.specs.iter().zip(&dyn_out.result.jobs) {
-        let ArrivalSpec::Open { at } = spec.arrival else {
-            unreachable!("open-loop job set")
-        };
-        let static_jct = spec
-            .stages
-            .iter()
-            .map(|s| {
-                stat_out.result.metrics.per_stage[s.index()]
-                    .completed_at
-                    .expect("static run completes every stage")
-            })
-            .max()
-            .unwrap()
-            - at;
+    let static_jcts = statik.static_job_jcts(&stat_out.result);
+    assert_eq!(static_jcts.len(), dyn_out.result.jobs.len());
+    for ((spec, static_jct), outcome) in statik
+        .specs
+        .iter()
+        .zip(static_jcts)
+        .zip(&dyn_out.result.jobs)
+    {
+        let static_jct = static_jct.expect("static run completes every stage");
         let dynamic_jct = outcome
             .completed_ms
             .expect("dynamic run completes every job")
@@ -295,9 +288,9 @@ fn executor_crash_mid_stream_recovers_every_tenant() {
     assert_eq!(a.result.jobs, b.result.jobs);
 }
 
-/// Shared sources actually share: with input sharing on, a later job's
-/// scan of the same dataset hits blocks the earlier job materialized or
-/// cached — visible as per-tenant cache hits for *both* tenants.
+/// Shared sources actually share: a later job's scan of the same dataset
+/// hits blocks the earlier job materialized or cached — visible as
+/// per-tenant cache hits for *both* tenants.
 #[test]
 fn shared_inputs_give_cross_tenant_cache_hits() {
     let scale = Scale::tiny();
@@ -309,14 +302,7 @@ fn shared_inputs_give_cross_tenant_cache_hits() {
     };
     let jobs = vec![mk(0, 0), mk(1, 15_000)];
     let cluster = ClusterConfig::tiny(4, 8);
-    let shared = TenantStream::from_jobs(
-        &jobs,
-        Vec::new(),
-        &StreamOptions {
-            share_inputs: true,
-            static_release: false,
-        },
-    );
+    let shared = TenantStream::from_jobs(&jobs, Vec::new(), &StreamOptions::default());
     let out = run_tenant_stream(
         &shared,
         &cluster,
