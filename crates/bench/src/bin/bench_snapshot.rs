@@ -4,7 +4,7 @@
 //! writes `BENCH_7.json` at the repo root: per-workload wall-clock
 //! milliseconds, a per-scheduling-decision cost (`ns_per_decision`), and
 //! the scheduling fast-path counters (`schedule_invocations`,
-//! `view_deltas`, `score_cache_*`, `inv_index_*`, …). Unlike Criterion
+//! `view_deltas`, `locality_queries`, `inv_index_*`, …). Unlike Criterion
 //! this is cheap enough for CI and produces a single machine-readable
 //! file to diff across commits.
 //!
@@ -358,9 +358,7 @@ fn main() {
              \"ready_list_rebuilds\": {}, \
              \"batches_discarded\": {}, \"assignments_discarded\": {}, \
              \"locality_queries\": {}, \
-             \"index_invalidations\": {}, \"valid_level_rebuilds\": {}, \
-             \"score_cache_hits\": {}, \"score_cache_misses\": {}, \
-             \"score_cache_invalidations\": {}, \
+             \"index_invalidations\": {}, \
              \"inv_index_hits\": {}, \"inv_index_updates\": {}, \
              \"inv_index_rebuilds\": {}, \
              \"exec_crashes\": {}, \"tasks_recomputed\": {}, \
@@ -380,10 +378,6 @@ fn main() {
             s.assignments_discarded,
             s.locality_queries,
             s.index_invalidations,
-            s.valid_level_rebuilds,
-            s.score_cache_hits,
-            s.score_cache_misses,
-            s.score_cache_invalidations,
             s.inv_index_hits,
             s.inv_index_updates,
             s.inv_index_rebuilds,

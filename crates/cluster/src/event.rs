@@ -52,9 +52,6 @@ pub enum Event {
     },
     /// A prefetched block arrives in an executor's cache.
     PrefetchArrive { block: BlockId, exec: ExecId },
-    /// A stage's release time (job arrival in *pre-merged* multi-tenant
-    /// runs) passed: re-examine its readiness.
-    StageRelease { stage: dagon_dag::StageId },
     /// Dynamic job admission (online multi-tenant runs): job `job` of the
     /// installed [`crate::jobs::JobsRuntime`] arrives and asks to enter
     /// the live DAG. Admission control decides whether its root stages
@@ -258,14 +255,14 @@ mod tests {
         // Interleave pushes and pops so free-list slots get reused while
         // later-scheduled events are still live.
         q.push(1, Event::Tick);
-        q.push(3, Event::StageRelease { stage: StageId(7) });
+        q.push(3, Event::JobArrival { job: 7 });
         assert_eq!(q.pop().map(|(t, _)| t), Some(1));
         q.push(2, Event::Tick); // reuses the popped slot
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(order.len(), 2);
         assert_eq!(order[0].0, 2);
         match &order[1].1 {
-            Event::StageRelease { stage } => assert_eq!(*stage, StageId(7)),
+            Event::JobArrival { job } => assert_eq!(*job, 7),
             other => panic!("slot reuse corrupted payload: {other:?}"),
         }
     }

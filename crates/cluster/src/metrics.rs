@@ -215,8 +215,9 @@ pub struct SchedulerStats {
     pub index_invalidations: u64,
     /// Retired: always 0. The valid-level folds it counted are gone: the
     /// locality index keeps each live stage's valid-level contributions
-    /// as task sets (DESIGN.md §26). Kept only because `dagon_bench`
-    /// reads the score-cache fields by name; remove them with that reader.
+    /// as task sets (DESIGN.md §26). No registry key or `bench_snapshot`
+    /// column. Kept only because `dagon_bench` reads the score-cache
+    /// fields by name; remove them with that reader.
     pub valid_level_rebuilds: u64,
     /// Retired: always 0, like [`Self::valid_level_rebuilds`] (the scan
     /// and valid-level memos it counted are gone).
@@ -435,13 +436,6 @@ impl SimResult {
         r.counter("sched/assignments_discarded", s.assignments_discarded);
         r.counter("sched/locality_queries", s.locality_queries);
         r.counter("sched/index_invalidations", s.index_invalidations);
-        r.counter("sched/valid_level_rebuilds", s.valid_level_rebuilds);
-        r.counter("sched/score_cache_hits", s.score_cache_hits);
-        r.counter("sched/score_cache_misses", s.score_cache_misses);
-        r.counter(
-            "sched/score_cache_invalidations",
-            s.score_cache_invalidations,
-        );
         r.counter("sched/ready_list_rebuilds", s.ready_list_rebuilds);
         r.counter("sched/inv_index_hits", s.inv_index_hits);
         r.counter("sched/inv_index_updates", s.inv_index_updates);

@@ -74,8 +74,8 @@ struct RunningAttempt {
 }
 
 /// One simulation run in progress.
-// lint: incremental(cview, mutators = [handle, launch, do_schedule, teardown_attempt, complete_stage, fail_attempt, requeue_task, exec_crash, exec_restart, resubmit_task, with_jobs, admit_job, reject_job], via = [apply, init_ready_list, set_stage_schedulable], oracle = check_consistency)
-// lint: incremental(data, mutators = [with_jobs, handle, launch, finish_task, complete_stage, proactive_drops, prefetch_scan, prefetch_arrive, exec_crash, block_loss, requeue_task, resubmit_task, admit_job, reject_job], via = [add_disk, add_cached, remove_cached, remove_disk], oracle = check_inv_consistency)
+// lint: incremental(cview, mutators = [launch, do_schedule, teardown_attempt, complete_stage, fail_attempt, requeue_task, exec_crash, exec_restart, resubmit_task, with_jobs, admit_job, reject_job], via = [apply, init_ready_list, set_stage_schedulable], oracle = check_consistency)
+// lint: incremental(data, mutators = [with_jobs, launch, finish_task, complete_stage, proactive_drops, prefetch_scan, prefetch_arrive, exec_crash, block_loss, requeue_task, resubmit_task, admit_job, reject_job], via = [add_disk, add_cached, remove_cached, remove_disk], oracle = check_inv_consistency)
 // lint: incremental(jobs, mutators = [with_jobs, run, job_arrival, admit_job, reject_job, complete_stage, resubmit_task, launch, teardown_attempt], via = [on_arrival, admit_queued, on_stage_complete, on_stage_reopened, on_cores_consumed, on_cores_released], oracle = check_consistency)
 // lint: incremental(prefetch_key, mutators = [prefetch_scan], init = [new], oracle = check_prefetch_pick)
 // lint: incremental(tick_dirty, mutators = [handle, launch, proactive_drops, resubmit_task], init = [new], oracle = check_quiet_tick)
@@ -229,7 +229,7 @@ impl Simulation {
             .iter()
             .map(|st| StageRuntime {
                 id: st.id,
-                ready: st.parents.is_empty() && st.release_ms == 0,
+                ready: st.parents.is_empty(),
                 completed: false,
                 pending: PendingSet::full(st.num_tasks),
                 running: 0,
@@ -338,12 +338,6 @@ impl Simulation {
             "JobsRuntime built for a different DAG"
         );
         for si in 0..self.stages.len() {
-            assert_eq!(
-                self.dag.stage(StageId(si as u32)).release_ms,
-                0,
-                "dynamic admission replaces static release_ms gating; \
-                 build the stream with release_ms = 0"
-            );
             if self.stages[si].ready {
                 self.stages[si].ready = false;
                 sync_ready(&mut self.cview, &mut self.data, &self.stages, si);
@@ -450,12 +444,6 @@ impl Simulation {
                     });
                 }
                 sched.on_stage_ready(s, 0);
-            } else if self.dag.stage(s).release_ms > 0 && self.dag.parents(s).is_empty() {
-                // Job-arrival release: re-examine readiness at that time.
-                self.queue.push(
-                    self.dag.stage(s).release_ms,
-                    Event::StageRelease { stage: s },
-                );
             }
         }
         // Compile the fault plan into first-class simulator events. With
@@ -535,25 +523,6 @@ impl Simulation {
             }
             Event::PrefetchArrive { block, exec } => self.prefetch_arrive(block, exec),
             Event::JobArrival { job } => self.job_arrival(job, sched),
-            Event::StageRelease { stage } => {
-                let srt = &mut self.stages[stage.index()];
-                if !srt.ready
-                    && !srt.completed
-                    && self
-                        .dag
-                        .parents(stage)
-                        .iter()
-                        .all(|p| self.stages[p.index()].completed)
-                {
-                    self.stages[stage.index()].ready = true;
-                    sync_ready(&mut self.cview, &mut self.data, &self.stages, stage.index());
-                    if self.trace_on {
-                        let num_tasks = self.dag.stage(stage).num_tasks;
-                        self.trace(TraceEvent::StageReady { stage, num_tasks });
-                    }
-                    sched.on_stage_ready(stage, self.now);
-                }
-            }
             Event::Tick => {
                 if self.completed_count < self.dag.num_stages() {
                     self.queue
@@ -1202,18 +1171,11 @@ impl Simulation {
                     .iter()
                     .all(|p| self.stages[p.index()].completed)
             {
-                if self.now < self.dag.stage(c).release_ms {
-                    self.queue.push(
-                        self.dag.stage(c).release_ms,
-                        Event::StageRelease { stage: c },
-                    );
-                } else {
-                    self.stages[c.index()].ready = true;
-                    sync_ready(&mut self.cview, &mut self.data, &self.stages, c.index());
-                    sched.on_stage_ready(c, self.now);
-                    if self.trace_on {
-                        newly_ready.push(c);
-                    }
+                self.stages[c.index()].ready = true;
+                sync_ready(&mut self.cview, &mut self.data, &self.stages, c.index());
+                sched.on_stage_ready(c, self.now);
+                if self.trace_on {
+                    newly_ready.push(c);
                 }
             }
         }

@@ -9,12 +9,13 @@ use dagon_cluster::{
     ArrivalSpec, ClusterConfig, FaultPlan, Locality, LocalityWait, SimResult, TimePoint,
 };
 use dagon_dag::{JobDag, StageId, SEC_MS};
-use dagon_tenancy::{StreamJob, StreamOptions, TenantStream};
+use dagon_tenancy::{StreamJob, TenantStream};
 use dagon_workloads::{Scale, Workload};
 use rayon::prelude::*;
 
 use crate::runner::run_system;
 use crate::system::{PlaceKind, SchedKind, System};
+use crate::tenancy::run_stream_system;
 
 /// One experiment campaign's shared parameters.
 #[derive(Clone, Debug)]
@@ -603,8 +604,8 @@ pub struct MultiTenantCell {
 }
 
 /// The staggered three-job mix (KMeans @0, LinearRegression @10 s,
-/// ConnectedComponent @20 s), lowered with arrivals baked into stage
-/// release times.
+/// ConnectedComponent @20 s) as an open-loop stream: each job enters
+/// through admission at its arrival time.
 pub fn multi_tenant_mix(scale: &Scale) -> TenantStream {
     let mix = [
         (Workload::KMeans, 0),
@@ -620,13 +621,7 @@ pub fn multi_tenant_mix(scale: &Scale) -> TenantStream {
             dag: w.build(scale),
         })
         .collect();
-    TenantStream::from_jobs(
-        &jobs,
-        Vec::new(),
-        &StreamOptions {
-            static_release: true,
-        },
-    )
+    TenantStream::from_jobs(&jobs, Vec::new())
 }
 
 /// Run [`multi_tenant_mix`] under each system. The paper motivates Dagon
@@ -638,11 +633,15 @@ pub fn multi_tenant(cfg: &ExpConfig, systems: &[System]) -> Vec<MultiTenantCell>
     systems
         .par_iter()
         .map(|sys| {
-            let out = run_system(&stream.dag, &cfg.cluster, sys);
-            let job_jct_s = stream
-                .static_job_jcts(&out.result)
-                .into_iter()
-                .map(|jct| jct.expect("all jobs complete") as f64 / 1000.0)
+            let out = run_stream_system(&stream, &cfg.cluster, sys);
+            let job_jct_s = out
+                .result
+                .jobs
+                .iter()
+                .map(|j| {
+                    let done = j.completed_ms.expect("all jobs complete");
+                    (done - j.arrival_ms) as f64 / 1000.0
+                })
                 .collect();
             MultiTenantCell {
                 system: sys.label(),

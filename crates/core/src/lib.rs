@@ -27,4 +27,6 @@ pub mod tiny_exec;
 
 pub use runner::{run_system, run_system_traced, RunOutcome};
 pub use system::{PlaceKind, SchedKind, System};
-pub use tenancy::{fig_tenant_sweep, run_tenant_stream, TenantPolicy, TenantRunOutcome};
+pub use tenancy::{
+    fig_tenant_sweep, run_stream_system, run_tenant_stream, TenantPolicy, TenantRunOutcome,
+};

@@ -23,6 +23,9 @@ use dagon_tenancy::{
 use dagon_workloads::{Scale, Workload};
 use rayon::prelude::*;
 
+use crate::runner::RunOutcome;
+use crate::system::System;
+
 /// Cross-tenant scheduling policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TenantPolicy {
@@ -104,16 +107,47 @@ pub fn run_tenant_stream(
 ) -> TenantRunOutcome {
     let est = AppProfiler::noisy(0.10, cluster.seed).estimate(&stream.dag);
     let mut sched = policy.build_scheduler(stream, &est);
-    let cache = policy.cache_kind();
-    let sim = Simulation::new(stream.dag.clone(), cluster.clone(), || cache.build())
-        .with_jobs(stream.runtime(admission));
-    let result = sim.run(sched.as_mut());
+    let result =
+        stream_simulation(stream, cluster, policy.cache_kind(), admission).run(sched.as_mut());
     let report = TenantReport::new(stream, &result);
     TenantRunOutcome {
         policy: policy.label(),
         result,
         report,
     }
+}
+
+/// Run a tenant stream under a batch [`System`] with default admission.
+///
+/// Mirrors [`crate::run_system`]: the same noisy profiler plans the run, so an
+/// open-loop job mix is judged by the same schedulers as a single job.
+pub fn run_stream_system(
+    stream: &TenantStream,
+    cluster: &ClusterConfig,
+    system: &System,
+) -> RunOutcome {
+    let est = AppProfiler::noisy(0.10, cluster.seed).estimate(&stream.dag);
+    let mut sched = system.build_scheduler(&stream.dag, &est);
+    let result = stream_simulation(stream, cluster, system.cache, AdmissionConfig::default())
+        .run(sched.as_mut());
+    RunOutcome {
+        system: system.label(),
+        workload: stream.dag.name().to_string(),
+        result,
+    }
+}
+
+/// The one place a stream becomes a [`Simulation`]: `stream`'s merged DAG
+/// on `cluster` with `cache` in every executor, each job gated until its
+/// arrival passes `admission`.
+pub fn stream_simulation(
+    stream: &TenantStream,
+    cluster: &ClusterConfig,
+    cache: PolicyKind,
+    admission: AdmissionConfig,
+) -> Simulation {
+    Simulation::new(stream.dag.clone(), cluster.clone(), || cache.build())
+        .with_jobs(stream.runtime(admission))
 }
 
 // ---------------------------------------------------------------------

@@ -165,7 +165,6 @@ pub struct StageBuilder<'a> {
     inputs: Vec<StageInput>,
     output_block_mb: f64,
     cache_output: bool,
-    release_ms: SimTime,
 }
 
 impl<'a> StageBuilder<'a> {
@@ -229,12 +228,6 @@ impl<'a> StageBuilder<'a> {
         self
     }
 
-    /// Earliest readiness time (job arrival in a multi-tenant merge).
-    pub fn release_ms(mut self, ms: SimTime) -> Self {
-        self.release_ms = ms;
-        self
-    }
-
     /// Finish the stage; returns `(stage, output_rdd)` ids.
     pub fn build(self) -> (StageId, RddId) {
         let stage_id = StageId(self.dag.stages.len() as u32);
@@ -264,7 +257,6 @@ impl<'a> StageBuilder<'a> {
             inputs: self.inputs,
             output: out_id,
             parents,
-            release_ms: self.release_ms,
         });
         (stage_id, out_id)
     }
@@ -324,7 +316,6 @@ impl DagBuilder {
             inputs: Vec::new(),
             output_block_mb: 64.0,
             cache_output: false,
-            release_ms: 0,
         }
     }
 

@@ -51,9 +51,6 @@ pub struct Stage {
     pub output: RddId,
     /// Parent stages (derived from `inputs` whose RDD is stage-produced).
     pub parents: Vec<StageId>,
-    /// Earliest time this stage may become ready (job arrival time in a
-    /// multi-tenant merge; 0 for single-job DAGs).
-    pub release_ms: SimTime,
 }
 
 impl Stage {
@@ -112,7 +109,6 @@ mod tests {
             }],
             output: RddId(1),
             parents: vec![],
-            release_ms: 0,
         }
     }
 

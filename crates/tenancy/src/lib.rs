@@ -7,10 +7,9 @@
 //!   job-size mixes drawn from `dagon-workloads`. Fully deterministic per
 //!   seed.
 //! * [`stream`] — the one multi-job lowering: merges a job list into one
-//!   simulator DAG with two release modes. Dynamic release produces the
-//!   [`dagon_cluster::JobsRuntime`] specs that drive admission; static
-//!   release bakes open-loop arrivals into stage release times for a
-//!   plain batch run. Identical HDFS source RDDs are shared across jobs
+//!   simulator DAG plus the [`dagon_cluster::JobsRuntime`] specs that
+//!   drive admission, the one way a job starts. Identical HDFS source
+//!   RDDs are shared across jobs
 //!   so one tenant's cached scan serves another tenant's identical scan
 //!   through the shared `BlockManager`.
 //! * [`report`] — per-tenant metrics out of a finished run: JCT p50/p99,

@@ -4,21 +4,11 @@
 //! The simulator's per-stage vectors and locality index cannot grow
 //! mid-run, so a job list is lowered to **one** merged [`JobDag`] up
 //! front: each job's stages are rebuilt, in input order, into a contiguous
-//! block of stage ids. One builder walk serves two release modes, and both
-//! allocate identical stage/RDD ids:
-//!
-//! * **dynamic** (the default): every stage carries `release_ms = 0` and
-//!   `Simulation::with_jobs` un-readies them until their job's
-//!   `Event::JobArrival` passes admission. This is what per-tenant queues,
-//!   admission caps and closed-loop clients need.
-//! * **static** ([`StreamOptions::static_release`]): arrivals are baked
-//!   into `release_ms`, so the merged DAG runs under a plain batch
-//!   simulation with no job runtime, and
-//!   [`TenantStream::static_job_jcts`] reads the per-job JCTs back. Every
-//!   arrival must be open-loop.
-//!
-//! Identical ids are what let the static-vs-dynamic cross-test
-//! (`tests/tenancy.rs`) demand identical per-job JCTs under FIFO.
+//! block of stage ids. Every job enters the same way: `Simulation::with_jobs`
+//! un-readies its stages until the job's `Event::JobArrival` passes
+//! admission, which is what per-tenant queues, admission caps and
+//! closed-loop clients need. An open-loop mix with no admission caps
+//! simply starts each job at its arrival time.
 //!
 //! HDFS source RDDs that are byte-identical across jobs (same dataset
 //! name, partitioning and block size) are created **once** and shared: a
@@ -28,7 +18,7 @@
 //! cache accounting. The persist flag ORs across the sharers, so one
 //! tenant persisting a dataset benefits all.
 //!
-//! One special case: a single-job dynamic stream embeds the job's DAG
+//! One special case: a single-job stream embeds the job's DAG
 //! *verbatim* (no rebuild). RDD ids then allocate in the original builder
 //! order, so HDFS placement — which scans source RDDs in id order — is
 //! bit-identical to the plain batch run, and a one-job stream reproduces
@@ -36,8 +26,8 @@
 
 use std::collections::BTreeMap;
 
-use dagon_cluster::{AdmissionConfig, ArrivalSpec, JobSpec, JobsRuntime, SimResult};
-use dagon_dag::{DagBuilder, DepKind, JobDag, RddId, RddSource, SimTime, StageId};
+use dagon_cluster::{AdmissionConfig, JobSpec, JobsRuntime};
+use dagon_dag::{DagBuilder, DepKind, JobDag, RddId, RddSource, StageId};
 
 use crate::arrivals::{generate_stream, StreamJob, TenantSpec};
 use dagon_workloads::Scale;
@@ -49,14 +39,10 @@ pub struct TenantMeta {
     pub weight: u64,
 }
 
-/// Lowering knobs.
+/// Lowering knobs. None are left: every job is gated by dynamic
+/// admission. The type stays because [`TenantStream::generate`] takes it.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct StreamOptions {
-    /// Bake arrivals into `release_ms` (static release) instead of gating
-    /// via dynamic admission. Requires every arrival to be open-loop;
-    /// incompatible with `Simulation::with_jobs`.
-    pub static_release: bool,
-}
+pub struct StreamOptions {}
 
 /// A lowered stream: the merged DAG plus everything the runtime layers
 /// need — per-job specs for [`JobsRuntime`] and per-tenant metadata for
@@ -70,7 +56,7 @@ pub struct TenantStream {
 
 impl TenantStream {
     /// Generate and lower a seeded stream in one step.
-    pub fn generate(tenants: &[TenantSpec], seed: u64, base: &Scale, opts: &StreamOptions) -> Self {
+    pub fn generate(tenants: &[TenantSpec], seed: u64, base: &Scale, _: &StreamOptions) -> Self {
         let jobs = generate_stream(tenants, seed, base);
         let meta = tenants
             .iter()
@@ -79,7 +65,7 @@ impl TenantStream {
                 weight: t.weight,
             })
             .collect();
-        Self::from_jobs(&jobs, meta, opts)
+        Self::from_jobs(&jobs, meta)
     }
 
     /// Lower an explicit job list. `tenants` may be empty, in which case
@@ -88,7 +74,7 @@ impl TenantStream {
     /// Stage ids follow the *input* order of `jobs`; nothing is re-sorted
     /// by arrival. Pass jobs in arrival order so that FIFO's stage-id
     /// order is Spark's FIFO-across-jobs order.
-    pub fn from_jobs(jobs: &[StreamJob], tenants: Vec<TenantMeta>, opts: &StreamOptions) -> Self {
+    pub fn from_jobs(jobs: &[StreamJob], tenants: Vec<TenantMeta>) -> Self {
         assert!(!jobs.is_empty(), "TenantStream over an empty job list");
         let num_tenants = jobs.iter().map(|j| j.tenant + 1).max().unwrap() as usize;
         let mut tenants = tenants;
@@ -98,17 +84,8 @@ impl TenantStream {
                 weight: 1,
             });
         }
-        if opts.static_release {
-            assert!(
-                jobs.iter()
-                    .all(|j| matches!(j.arrival, ArrivalSpec::Open { .. })),
-                "static_release needs open-loop arrivals (closed-loop think \
-                 times depend on runtime state)"
-            );
-        }
-
         // Single-job fast path: embed the DAG verbatim (see module doc).
-        if jobs.len() == 1 && !opts.static_release {
+        if jobs.len() == 1 {
             let job = &jobs[0];
             let stages = (0..job.dag.num_stages())
                 .map(|i| StageId(u32::try_from(i).expect("stage count fits u32")))
@@ -139,8 +116,7 @@ impl TenantStream {
             }
         }
 
-        // The renumbering walk, with shared sources and the
-        // static/dynamic release switch.
+        // The renumbering walk, with shared sources.
         let mut b = DagBuilder::new("tenant-stream");
         let mut shared: BTreeMap<(String, u32, u64), RddId> = BTreeMap::new();
         let mut specs = Vec::new();
@@ -166,22 +142,13 @@ impl TenantStream {
                     });
                     rdd_map.insert(rdd.id, new);
                 }
-                let release = if opts.static_release {
-                    let ArrivalSpec::Open { at } = job.arrival else {
-                        unreachable!("asserted open-loop above")
-                    };
-                    st.release_ms.max(at)
-                } else {
-                    0
-                };
                 let mut sb = b
                     .stage(&format!("j{job_idx}_{}", st.name))
                     .tasks(st.num_tasks)
                     .demand(st.demand)
                     .cpu_ms(st.cpu_ms)
                     .skew(st.skew.clone())
-                    .output_mb(dag.rdd(st.output).block_mb)
-                    .release_ms(release);
+                    .output_mb(dag.rdd(st.output).block_mb);
                 if dag.rdd(st.output).cached {
                     sb = sb.cache_output();
                 }
@@ -211,25 +178,6 @@ impl TenantStream {
         }
     }
 
-    /// Per-job JCTs of a static-release run, in job order: the latest
-    /// completion among the job's stages minus its arrival. `result` is
-    /// a plain batch run of [`Self::dag`]. A job with a stage that never
-    /// completed gets `None`.
-    pub fn static_job_jcts(&self, result: &SimResult) -> Vec<Option<SimTime>> {
-        self.specs
-            .iter()
-            .map(|spec| {
-                let ArrivalSpec::Open { at } = spec.arrival else {
-                    panic!("{}: static release needs open-loop arrivals", spec.name)
-                };
-                let done = spec.stages.iter().try_fold(0, |latest: SimTime, s| {
-                    Some(latest.max(result.metrics.per_stage[s.index()].completed_at?))
-                })?;
-                Some(done.saturating_sub(at))
-            })
-            .collect()
-    }
-
     /// The dynamic-admission runtime for this stream.
     pub fn runtime(&self, admission: AdmissionConfig) -> JobsRuntime {
         JobsRuntime::new(self.specs.clone(), admission, self.dag.num_stages())
@@ -249,6 +197,7 @@ impl TenantStream {
 mod tests {
     use super::*;
     use crate::arrivals::{BoundedPareto, ClientKind};
+    use dagon_cluster::ArrivalSpec;
     use dagon_workloads::Workload;
 
     fn two_job_stream() -> Vec<StreamJob> {
@@ -273,7 +222,7 @@ mod tests {
     fn identical_jobs_share_their_hdfs_sources() {
         let jobs = two_job_stream();
         let count_hdfs = |jobs: &[StreamJob]| {
-            let stream = TenantStream::from_jobs(jobs, Vec::new(), &StreamOptions::default());
+            let stream = TenantStream::from_jobs(jobs, Vec::new());
             stream
                 .dag
                 .rdds()
@@ -287,42 +236,35 @@ mod tests {
     }
 
     #[test]
-    fn static_and_dynamic_lowerings_share_ids() {
+    fn merged_stages_keep_their_jobs_apart() {
         let jobs = two_job_stream();
-        let opts = |static_release| StreamOptions { static_release };
-        let dynamic = TenantStream::from_jobs(&jobs, Vec::new(), &opts(false));
-        let statik = TenantStream::from_jobs(&jobs, Vec::new(), &opts(true));
-        assert_eq!(dynamic.dag.num_stages(), statik.dag.num_stages());
-        for i in 0..dynamic.dag.num_stages() {
-            let s = StageId(u32::try_from(i).unwrap());
-            let (d, st) = (dynamic.dag.stage(s), statik.dag.stage(s));
-            assert_eq!(d.name, st.name);
-            assert_eq!(d.num_tasks, st.num_tasks);
-            assert_eq!(d.release_ms, 0, "dynamic stages must be ungated");
-        }
-        // Static lowering bakes the arrival into job 1's releases.
-        for s in &statik.specs[1].stages {
-            assert_eq!(statik.dag.stage(*s).release_ms, 5_000);
-        }
-        for s in &statik.specs[0].stages {
-            assert_eq!(statik.dag.stage(*s).release_ms, 0);
+        let stream = TenantStream::from_jobs(&jobs, Vec::new());
+        // Each job's stages form one contiguous, prefixed id block.
+        let per_job = jobs[0].dag.num_stages();
+        assert_eq!(stream.dag.num_stages(), 2 * per_job);
+        for (j, spec) in stream.specs.iter().enumerate() {
+            for (k, s) in spec.stages.iter().enumerate() {
+                assert_eq!(s.index(), j * per_job + k);
+                let name = &stream.dag.stage(*s).name;
+                assert!(name.starts_with(&format!("j{j}_")), "{name}");
+            }
         }
         // Shared sources aside, no stage depends on another job's stage.
-        for spec in &statik.specs {
+        for spec in &stream.specs {
             for s in &spec.stages {
-                for p in statik.dag.parents(*s) {
+                for p in stream.dag.parents(*s) {
                     assert!(spec.stages.contains(p), "cross-job parent {p}");
                 }
             }
         }
-        assert_eq!(dynamic.specs.len(), 2);
-        assert_eq!(dynamic.tenants.len(), 2);
+        assert_eq!(stream.specs.len(), 2);
+        assert_eq!(stream.tenants.len(), 2);
     }
 
     #[test]
     #[should_panic(expected = "empty")]
     fn empty_job_list_panics() {
-        let _ = TenantStream::from_jobs(&[], Vec::new(), &StreamOptions::default());
+        let _ = TenantStream::from_jobs(&[], Vec::new());
     }
 
     #[test]
@@ -334,7 +276,7 @@ mod tests {
             arrival: ArrivalSpec::Open { at: 0 },
             dag: dag.clone(),
         }];
-        let stream = TenantStream::from_jobs(&jobs, Vec::new(), &StreamOptions::default());
+        let stream = TenantStream::from_jobs(&jobs, Vec::new());
         assert_eq!(stream.dag.num_stages(), dag.num_stages());
         // Verbatim: original names survive (the merge walk would prefix).
         for i in 0..dag.num_stages() {

@@ -242,7 +242,8 @@ fn determinism_across_full_stack() {
 #[test]
 fn multi_tenant_merge_runs_and_reports_per_job_jct() {
     use dagon_cluster::ArrivalSpec;
-    use dagon_tenancy::{StreamJob, StreamOptions, TenantStream};
+    use dagon_core::run_stream_system;
+    use dagon_tenancy::{StreamJob, TenantStream};
     let scale = Scale::tiny();
     let mk = |w: Workload, at: u64| StreamJob {
         tenant: 0,
@@ -254,18 +255,13 @@ fn multi_tenant_merge_runs_and_reports_per_job_jct() {
         mk(Workload::KMeans, 0),
         mk(Workload::LinearRegression, 2_000),
     ];
-    let stream = TenantStream::from_jobs(
-        &jobs,
-        Vec::new(),
-        &StreamOptions {
-            static_release: true,
-        },
-    );
-    let out = run_system(&stream.dag, &tiny_cluster(), &System::dagon());
-    let jcts: Vec<u64> = stream
-        .static_job_jcts(&out.result)
-        .into_iter()
-        .map(|jct| jct.expect("job completed"))
+    let stream = TenantStream::from_jobs(&jobs, Vec::new());
+    let out = run_stream_system(&stream, &tiny_cluster(), &System::dagon());
+    let jcts: Vec<u64> = out
+        .result
+        .jobs
+        .iter()
+        .map(|j| j.completed_ms.expect("job completed") - j.arrival_ms)
         .collect();
     assert_eq!(jcts, [18791, 18943]);
     assert_eq!(

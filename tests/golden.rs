@@ -10,7 +10,7 @@
 
 use dagon_cluster::{ClusterConfig, ExecId, FaultKind, FaultPlan, SimResult};
 use dagon_core::experiments::{multi_tenant_mix, ExpConfig};
-use dagon_core::{run_system, System};
+use dagon_core::{run_stream_system, run_system, System};
 use dagon_dag::examples::{fig1, tiny_chain};
 use dagon_dag::JobDag;
 use dagon_workloads::Workload;
@@ -25,8 +25,7 @@ fn fingerprint(r: &SimResult) -> (u64, u64) {
     (r.jct, r.fingerprint())
 }
 
-/// The four scenarios of the acceptance criterion plus the static
-/// three-job multi-tenant mix, × the fig8 lineup.
+/// The four scenarios of the acceptance criterion, × the fig8 lineup.
 fn scenarios() -> Vec<(&'static str, JobDag, ClusterConfig)> {
     let quick = ExpConfig::quick();
     vec![
@@ -42,12 +41,31 @@ fn scenarios() -> Vec<(&'static str, JobDag, ClusterConfig)> {
             Workload::ConnectedComponent.build(&quick.scale),
             quick.cluster.clone(),
         ),
-        (
-            "mix3-quick",
-            multi_tenant_mix(&quick.scale).dag,
-            quick.cluster.clone(),
-        ),
     ]
+}
+
+/// The three-job mix through admission, × the fig8 lineup. Each job's
+/// outcome row must agree with the stage metrics: it completes when the
+/// last of its stages does.
+fn mix3_rows(rows: &mut Vec<(String, u64, u64)>) {
+    let quick = ExpConfig::quick();
+    let stream = multi_tenant_mix(&quick.scale);
+    for sys in System::fig8_lineup() {
+        let out = run_stream_system(&stream, &quick.cluster, &sys);
+        let r = &out.result;
+        assert_eq!(r.jobs.len(), stream.specs.len());
+        for (spec, job) in stream.specs.iter().zip(&r.jobs) {
+            let last = spec
+                .stages
+                .iter()
+                .map(|s| r.metrics.per_stage[s.index()].completed_at)
+                .max()
+                .flatten();
+            assert_eq!(job.completed_ms, last, "mix3-quick/{sys}: {}", spec.name);
+        }
+        let (jct, fp) = fingerprint(r);
+        rows.push((format!("mix3-quick/{sys}"), jct, fp));
+    }
 }
 
 /// Two pinned chaos scenarios: fully fixed fault plans, so recovery
@@ -87,6 +105,7 @@ fn run_all() -> Vec<(String, u64, u64)> {
             rows.push((format!("{wname}/{sys}"), jct, fp));
         }
     }
+    mix3_rows(&mut rows);
     for (wname, dag, cluster, sys) in chaos_scenarios() {
         let out = run_system(&dag, &cluster, &sys);
         let (jct, fp) = fingerprint(&out.result);
@@ -114,7 +133,7 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("CC-quick/Graphene+LRU", 51318, 5786794090166402431),
     ("CC-quick/Graphene+MRD", 49135, 14090999386727238774),
     ("CC-quick/Dagon", 50006, 14939127398690536188),
-    // KMeans @0 + LinR @10 s + CC @20 s, arrivals baked into releases.
+    // KMeans @0 + LinR @10 s + CC @20 s, each admitted at its arrival.
     ("mix3-quick/FIFO+LRU", 148060, 13776759938759488333),
     ("mix3-quick/Graphene+LRU", 143140, 10006719505837446679),
     ("mix3-quick/Graphene+MRD", 137184, 12824803377517218998),

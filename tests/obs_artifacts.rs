@@ -177,10 +177,6 @@ const REGISTRY_KEYS: &[&str] = &[
     "sched/locality_queries",
     "sched/ready_list_rebuilds",
     "sched/schedule_invocations",
-    "sched/score_cache_hits",
-    "sched/score_cache_invalidations",
-    "sched/score_cache_misses",
-    "sched/valid_level_rebuilds",
     "sched/view_deltas",
     "sched/view_rebuilds",
 ];

@@ -4,14 +4,18 @@
 //! unbounded ring recorder — and the `(jct, fingerprint)` pair must be
 //! bit-identical. Covers the fault-free golden lineup *and* the pinned
 //! chaos plans, so the recorder is proven inert on the recovery paths
-//! (crashes, lineage resubmission, blacklisting) too.
+//! (crashes, lineage resubmission, blacklisting) too. A job mix run through
+//! dynamic admission is held to the same contract, job outcome rows
+//! included.
 
-use dagon_cluster::{ClusterConfig, ExecId, FaultKind, FaultPlan};
-use dagon_core::experiments::ExpConfig;
-use dagon_core::{run_system, run_system_traced, System};
+use dagon_cluster::{AdmissionConfig, ClusterConfig, ExecId, FaultKind, FaultPlan};
+use dagon_core::experiments::{multi_tenant_mix, ExpConfig};
+use dagon_core::tenancy::stream_simulation;
+use dagon_core::{run_stream_system, run_system, run_system_traced, System};
 use dagon_dag::examples::{fig1, tiny_chain};
 use dagon_dag::JobDag;
-use dagon_obs::RingRecorder;
+use dagon_obs::{RingRecorder, TraceEvent};
+use dagon_profiler::AppProfiler;
 use dagon_workloads::Workload;
 
 fn scenarios() -> Vec<(&'static str, JobDag, ClusterConfig, System)> {
@@ -72,6 +76,41 @@ fn recorder_on_and_off_produce_identical_results() {
             "{name}/{sys}: recorder run captured nothing"
         );
         assert_eq!(traced.result.trace.dropped, 0);
+    }
+}
+
+/// The admission path under a recorder: the three-job mix under Dagon,
+/// bare and traced, gives one schedule and one set of job outcome rows,
+/// and the trace shows each job's stages readied when it was admitted.
+#[test]
+fn admission_run_is_recorder_invariant() {
+    let quick = ExpConfig::quick();
+    let stream = multi_tenant_mix(&quick.scale);
+    let sys = System::dagon();
+    let bare = run_stream_system(&stream, &quick.cluster, &sys).result;
+    let est = AppProfiler::noisy(0.10, quick.cluster.seed).estimate(&stream.dag);
+    let mut sched = sys.build_scheduler(&stream.dag, &est);
+    let admission = AdmissionConfig::default();
+    let traced = stream_simulation(&stream, &quick.cluster, sys.cache, admission)
+        .with_sink(Box::new(RingRecorder::unbounded()))
+        .run(sched.as_mut());
+    assert_eq!(
+        (bare.jct, bare.fingerprint()),
+        (traced.jct, traced.fingerprint()),
+        "recorder changed the admission run"
+    );
+    assert_eq!(bare.jobs, traced.jobs, "recorder changed the job outcomes");
+    assert!(bare.trace.is_empty());
+    assert_eq!(traced.trace.dropped, 0);
+    for (spec, job) in stream.specs.iter().zip(&traced.jobs) {
+        let admitted = job.admitted_ms.expect("no job is rejected");
+        assert!(
+            traced.trace.records.iter().any(|r| r.at == admitted
+                && matches!(r.event, TraceEvent::StageReady { stage, .. }
+                    if spec.stages.contains(&stage))),
+            "{}: no stage-ready event at admission ({admitted} ms)",
+            spec.name
+        );
     }
 }
 

@@ -3,10 +3,10 @@
 //! * **Differential**: a single-job stream under dynamic admission is
 //!   bit-identical to the classic batch run — pinned against the same
 //!   constants as `tests/golden.rs`.
-//! * **Static ≡ dynamic**: the stream lowering's two release modes —
-//!   arrivals baked into `release_ms` under a plain batch run, and
-//!   dynamic admission — produce the same per-job JCTs for the same job
-//!   set (one job re-reading another's dataset) under FIFO.
+//! * **FIFO pin**: an open-loop four-job set (one job re-reading another's
+//!   dataset) under FIFO admission keeps the makespan, fingerprint and
+//!   per-job JCTs that baking arrivals into per-stage release times gave
+//!   before admission became the only way a job starts.
 //! * **Determinism**: same seed ⇒ bit-identical stream, schedule and
 //!   per-job outcomes; different seed ⇒ different stream.
 //! * **Starvation regression**: a bursty heavy tenant cannot starve a
@@ -30,7 +30,7 @@ fn one_job_stream(w: Workload, scale: &Scale) -> TenantStream {
         arrival: ArrivalSpec::Open { at: 0 },
         dag: w.build(scale),
     }];
-    TenantStream::from_jobs(&jobs, Vec::new(), &StreamOptions::default())
+    TenantStream::from_jobs(&jobs, Vec::new())
 }
 
 /// A one-job stream must reproduce the batch golden bit-for-bit: same
@@ -96,48 +96,30 @@ fn open_loop_jobs(scale: &Scale) -> Vec<StreamJob> {
     ]
 }
 
-/// The static ≡ dynamic oracle: baking arrivals into `release_ms` and
-/// gating via dynamic admission run the same schedule under FIFO — same
-/// job set, same arrivals, same per-job JCTs.
+/// FIFO admission of the open-loop four-job set, pinned: the values are
+/// those of the same jobs merged with their arrivals baked into per-stage
+/// release times under a plain batch run, so the two ways of starting a
+/// job are proven to give one schedule.
 #[test]
-fn static_premerge_and_dynamic_admission_agree_under_fifo() {
-    let scale = Scale::tiny();
-    let jobs = open_loop_jobs(&scale);
-    // Identical builder walk, only the release mode differs — so stage ids
-    // line up one-to-one across the two lowerings.
-    let opts = |static_release| StreamOptions { static_release };
-    let dynamic = TenantStream::from_jobs(&jobs, Vec::new(), &opts(false));
-    let statik = TenantStream::from_jobs(&jobs, Vec::new(), &opts(true));
-    let cluster = ClusterConfig::tiny(4, 8);
-
-    let dyn_out = run_tenant_stream(
-        &dynamic,
-        &cluster,
+fn fifo_admission_run_matches_pinned_values() {
+    let stream = TenantStream::from_jobs(&open_loop_jobs(&Scale::tiny()), Vec::new());
+    let out = run_tenant_stream(
+        &stream,
+        &ClusterConfig::tiny(4, 8),
         TenantPolicy::Fifo,
         AdmissionConfig::default(),
     );
-    let stat_out = run_system(&statik.dag, &cluster, &System::stock_spark());
-
-    let static_jcts = statik.static_job_jcts(&stat_out.result);
-    assert_eq!(static_jcts.len(), dyn_out.result.jobs.len());
-    for ((spec, static_jct), outcome) in statik
-        .specs
+    assert_eq!(
+        (out.result.jct, out.result.fingerprint()),
+        (26108, 16077819487180574400)
+    );
+    let jcts: Vec<u64> = out
+        .result
+        .jobs
         .iter()
-        .zip(static_jcts)
-        .zip(&dyn_out.result.jobs)
-    {
-        let static_jct = static_jct.expect("static run completes every stage");
-        let dynamic_jct = outcome
-            .completed_ms
-            .expect("dynamic run completes every job")
-            - outcome.arrival_ms;
-        assert_eq!(
-            static_jct, dynamic_jct,
-            "{}: static pre-merge and dynamic admission disagree",
-            spec.name
-        );
-    }
-    assert_eq!(dyn_out.result.jct, stat_out.result.jct, "makespans differ");
+        .map(|j| j.completed_ms.expect("every job completes") - j.arrival_ms)
+        .collect();
+    assert_eq!(jcts, [18576, 21458, 22108, 15166]);
 }
 
 fn seeded_tenants() -> Vec<TenantSpec> {
@@ -218,7 +200,7 @@ fn fair_share_prevents_light_tenant_starvation() {
         arrival: ArrivalSpec::Open { at: 1_000 },
         dag: Workload::LinearRegression.build(&Scale { tasks: 4, ..scale }),
     });
-    let stream = TenantStream::from_jobs(&jobs, Vec::new(), &StreamOptions::default());
+    let stream = TenantStream::from_jobs(&jobs, Vec::new());
     let cluster = ClusterConfig::tiny(2, 4);
 
     let jct_of = |policy| {
@@ -302,7 +284,7 @@ fn shared_inputs_give_cross_tenant_cache_hits() {
     };
     let jobs = vec![mk(0, 0), mk(1, 15_000)];
     let cluster = ClusterConfig::tiny(4, 8);
-    let shared = TenantStream::from_jobs(&jobs, Vec::new(), &StreamOptions::default());
+    let shared = TenantStream::from_jobs(&jobs, Vec::new());
     let out = run_tenant_stream(
         &shared,
         &cluster,
