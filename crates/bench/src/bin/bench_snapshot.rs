@@ -3,8 +3,9 @@
 //! Runs the same workloads as the `sim_throughput` Criterion bench and
 //! writes `BENCH_7.json` at the repo root: per-workload wall-clock
 //! milliseconds, a per-scheduling-decision cost (`ns_per_decision`), and
-//! the scheduling fast-path counters (`schedule_invocations`,
-//! `view_deltas`, `locality_queries`, `inv_index_*`, …). Unlike Criterion
+//! every `sched/` and `faults/` counter of the run's metrics registry,
+//! prefix stripped (`schedule_invocations`, `view_deltas`,
+//! `inv_index_*`, `exec_crashes`, …). Unlike Criterion
 //! this is cheap enough for CI and produces a single machine-readable
 //! file to diff across commits.
 //!
@@ -37,10 +38,11 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use dagon_cluster::{AdmissionConfig, ClusterConfig, FaultPlan};
+use dagon_cluster::{AdmissionConfig, ClusterConfig, FaultPlan, SimResult};
 use dagon_core::experiments::ExpConfig;
 use dagon_core::tenancy::{run_tenant_stream, sweep_cluster, sweep_tenants, TenantPolicy};
 use dagon_core::{run_system, System};
+use dagon_obs::Metric;
 use dagon_tenancy::{StreamOptions, TenantStream};
 use dagon_workloads::{Scale, Workload};
 
@@ -65,8 +67,34 @@ struct Row {
     jain_fairness: Option<f64>,
     /// Process peak RSS in MiB after this row's runs.
     peak_rss_mb: Option<f64>,
-    sched: dagon_cluster::SchedulerStats,
-    faults: dagon_cluster::FaultStats,
+    /// The run's `sched/` and `faults/` registry counters, prefix
+    /// stripped, in registry key order: the row's counter columns.
+    counters: Vec<(String, u64)>,
+}
+
+impl Row {
+    fn counter(&self, name: &str) -> u64 {
+        self.counters
+            .iter()
+            .find(|(k, _)| k == name)
+            .map_or(0, |&(_, v)| v)
+    }
+}
+
+/// `res`'s `sched/` and `faults/` counters with the prefix stripped.
+fn counter_columns(res: &SimResult) -> Vec<(String, u64)> {
+    res.registry()
+        .iter()
+        .filter_map(|(key, m)| {
+            let name = key
+                .strip_prefix("sched/")
+                .or_else(|| key.strip_prefix("faults/"))?;
+            match m {
+                Metric::Counter(v) => Some((name.to_string(), *v)),
+                _ => None,
+            }
+        })
+        .collect()
 }
 
 /// One point of the `--scale` sweep: CC on progressively larger clusters,
@@ -192,8 +220,7 @@ fn measure(
         p99_jct_ms: None,
         jain_fairness: None,
         peak_rss_mb: peak_rss_mb(),
-        sched: warm.result.metrics.sched,
-        faults: warm.result.metrics.faults,
+        counters: counter_columns(&warm.result),
     }
 }
 
@@ -241,8 +268,7 @@ fn measure_tenant(name: &str, samples: usize) -> Row {
         p99_jct_ms: Some(warm.report.p99_jct_ms),
         jain_fairness: Some(warm.report.jain_fairness),
         peak_rss_mb: peak_rss_mb(),
-        sched: warm.result.metrics.sched,
-        faults: warm.result.metrics.faults,
+        counters: counter_columns(&warm.result),
     }
 }
 
@@ -347,45 +373,16 @@ fn main() {
 
     let mut json = String::from("{\n  \"benchmarks\": [\n");
     for (i, r) in rows.iter().enumerate() {
-        let s = &r.sched;
         let _ = write!(
             json,
             "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"wall_ms_min\": {:.3}, \
              \"samples\": {}, \"jct_ms\": {}, \
-             \"decisions\": {}, \"ns_per_decision\": {:.1}, \
-             \"schedule_invocations\": {}, \"view_rebuilds\": {}, \
-             \"view_deltas\": {}, \
-             \"ready_list_rebuilds\": {}, \
-             \"batches_discarded\": {}, \"assignments_discarded\": {}, \
-             \"locality_queries\": {}, \
-             \"index_invalidations\": {}, \
-             \"inv_index_hits\": {}, \"inv_index_updates\": {}, \
-             \"inv_index_rebuilds\": {}, \
-             \"exec_crashes\": {}, \"tasks_recomputed\": {}, \
-             \"stage_resubmissions\": {}, \"task_failures\": {}",
-            r.name,
-            r.wall_ms,
-            r.wall_ms_min,
-            r.samples,
-            r.jct_ms,
-            r.decisions,
-            r.ns_per_decision,
-            s.schedule_invocations,
-            s.view_rebuilds,
-            s.view_deltas,
-            s.ready_list_rebuilds,
-            s.batches_discarded,
-            s.assignments_discarded,
-            s.locality_queries,
-            s.index_invalidations,
-            s.inv_index_hits,
-            s.inv_index_updates,
-            s.inv_index_rebuilds,
-            r.faults.exec_crashes,
-            r.faults.tasks_recomputed,
-            r.faults.stage_resubmissions,
-            r.faults.task_failures,
+             \"decisions\": {}, \"ns_per_decision\": {:.1}",
+            r.name, r.wall_ms, r.wall_ms_min, r.samples, r.jct_ms, r.decisions, r.ns_per_decision,
         );
+        for (name, v) in &r.counters {
+            let _ = write!(json, ", \"{name}\": {v}");
+        }
         match r.peak_rss_mb {
             Some(mb) => {
                 let _ = write!(json, ", \"peak_rss_mb\": {mb:.1}");
@@ -413,8 +410,8 @@ fn main() {
             r.jct_ms,
             r.decisions,
             r.ns_per_decision,
-            r.sched.schedule_invocations,
-            r.sched.assignments_discarded,
+            r.counter("schedule_invocations"),
+            r.counter("assignments_discarded"),
         );
     }
     println!("wrote {out_path}");

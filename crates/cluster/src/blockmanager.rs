@@ -100,11 +100,10 @@ pub trait CachePolicy {
     /// `out` empty.
     ///
     /// Purity contract: `out` is a function of `candidates` and `profile`
-    /// alone. The simulator relies on this (through the picks) to skip an
-    /// executor's prefetch evaluation while its BlockManager, the profile
-    /// and block residency are all unchanged since an evaluation that
-    /// started nothing, and to skip nodes with no candidates outright
-    /// (the ranking of nothing is empty).
+    /// alone. The simulator relies on this (through the picks) to skip a
+    /// tick's prefetch scan when nothing it reads changed since the last
+    /// scan, and to skip nodes with no candidates outright (the ranking
+    /// of nothing is empty).
     fn prefetch_order(
         &mut self,
         _candidates: &[BlockId],
@@ -155,9 +154,6 @@ pub struct BlockManager {
     /// oracle).
     unpinned: Vec<BlockId>,
     policy: Box<dyn CachePolicy>,
-    /// Bumped on every state change: a block inserted or dropped, a pin
-    /// taken or released, a hit fed to the policy.
-    version: u64,
     /// Blocks that became resident and unpinned (a successful insert, or
     /// the last pin released) since the last [`DropPass`], with repeats.
     fresh: Vec<BlockId>,
@@ -172,19 +168,12 @@ impl BlockManager {
             pinned: BTreeMap::new(),
             unpinned: Vec::new(),
             policy,
-            version: 0,
             fresh: Vec::new(),
         }
     }
 
     pub fn policy_name(&self) -> &'static str {
         self.policy.policy_name()
-    }
-
-    /// Monotone state version: equal versions mean the same resident and
-    /// pinned sets, the same free space and the same policy state.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     pub fn contains(&self, b: BlockId) -> bool {
@@ -231,7 +220,6 @@ impl BlockManager {
     pub fn access(&mut self, b: BlockId, now: SimTime) -> bool {
         if self.resident.contains_key(&b) {
             self.policy.on_access(b, now);
-            self.version += 1;
             true
         } else {
             false
@@ -249,7 +237,6 @@ impl BlockManager {
                     self.unpinned.remove(pos);
                 }
             }
-            self.version += 1;
         }
     }
 
@@ -263,7 +250,6 @@ impl BlockManager {
                 }
                 self.fresh.push(b);
             }
-            self.version += 1;
         }
     }
 
@@ -326,7 +312,6 @@ impl BlockManager {
         }
         self.used_mb += mb;
         self.policy.on_insert(b, now);
-        self.version += 1;
         self.fresh.push(b);
         InsertOutcome::Inserted { evicted }
     }
@@ -341,7 +326,6 @@ impl BlockManager {
                 }
             }
             self.policy.on_evict(b);
-            self.version += 1;
         }
     }
 
@@ -646,45 +630,6 @@ mod tests {
         assert!((bm.free_frac() - 0.75).abs() < 1e-9);
         let zero = BlockManager::new(0.0, Box::new(NoCache));
         assert_eq!(zero.free_frac(), 0.0);
-    }
-
-    #[test]
-    fn version_moves_on_every_mutator_and_not_on_reads() {
-        let mut bm = BlockManager::new(100.0, Box::new(FifoTest));
-        let p = RefProfile::default();
-        let mut last = bm.version();
-        let mut moved = |bm: &BlockManager, what: &str| {
-            assert!(bm.version() > last, "{what} did not bump the version");
-            last = bm.version();
-        };
-        bm.try_insert(blk(0, 0), 60.0, 0, &p);
-        moved(&bm, "insert");
-        assert!(bm.access(blk(0, 0), 1));
-        moved(&bm, "access");
-        bm.pin(blk(0, 0));
-        moved(&bm, "pin");
-        bm.unpin(blk(0, 0));
-        moved(&bm, "unpin");
-        // Needs room: evicts blk(0,0) on the way in.
-        bm.try_insert(blk(0, 1), 60.0, 0, &p);
-        moved(&bm, "evict + insert");
-        assert!(bm.invalidate(blk(0, 1)));
-        moved(&bm, "invalidate");
-        bm.try_insert(blk(0, 2), 10.0, 0, &p);
-        moved(&bm, "insert");
-        assert_eq!(bm.crash_clear(), vec![blk(0, 2)]);
-        moved(&bm, "crash clear");
-
-        // Reads and no-op calls leave it alone.
-        let v = bm.version();
-        let _ = (bm.contains(blk(0, 0)), bm.free_mb(), bm.free_frac());
-        let _ = (bm.used_mb(), bm.num_resident(), bm.resident_blocks());
-        assert!(!bm.access(blk(0, 0), 2)); // miss
-        bm.pin(blk(0, 0)); // not resident
-        bm.unpin(blk(0, 0)); // not pinned
-        assert!(!bm.invalidate(blk(0, 0)));
-        assert!(bm.crash_clear().is_empty());
-        assert_eq!(bm.version(), v);
     }
 
     /// Evicts the block with the smallest scrambled id, and refuses when

@@ -49,8 +49,6 @@ pub struct RefProfile {
     frontier: u32,
     /// Current priority value `pv_i` per stage (Eq. 6), indexed by stage.
     pv: Vec<u64>,
-    /// Bumped whenever anything a policy can read changes.
-    version: u64,
     /// Flat ids of the blocks whose use list changed since the last
     /// [`drain_changes`](Self::drain_changes), with repeats.
     changed: Vec<u32>,
@@ -76,31 +74,19 @@ impl RefProfile {
         }
     }
 
-    /// Monotone version: equal versions mean every lookup answers the
-    /// same.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Set stage `s`'s priority value, bumping the version only when the
-    /// value changes, and recording the stage when it crosses zero.
+    /// Set stage `s`'s priority value, recording the stage when it
+    /// crosses zero.
     pub fn set_pv(&mut self, s: StageId, pv: u64) {
         let slot = &mut self.pv[s.index()];
-        if *slot != pv {
-            if (*slot == 0) != (pv == 0) {
-                self.crossed.push(s);
-            }
-            *slot = pv;
-            self.version += 1;
+        if (*slot == 0) != (pv == 0) {
+            self.crossed.push(s);
         }
+        *slot = pv;
     }
 
-    /// Move MRD's FIFO frontier, bumping the version only when it moves.
+    /// Move MRD's FIFO frontier.
     pub fn set_frontier(&mut self, frontier: u32) {
-        if self.frontier != frontier {
-            self.frontier = frontier;
-            self.version += 1;
-        }
+        self.frontier = frontier;
     }
 
     /// Flat index of `b`, or `None` for blocks outside the profiled DAG
@@ -229,7 +215,6 @@ impl RefProfile {
             .find(|s| !stage_done(*s))
             .map(|s| s.0)
             .unwrap_or(dag.num_stages() as u32);
-        self.version += 1;
         self.changed.clear();
         self.rebuilt = true;
     }
@@ -271,7 +256,7 @@ impl RefProfile {
 
     /// Remove one use entry of `stage` for block `b` (incremental update
     /// when the reading task finishes — avoids full rebuilds in the hot
-    /// path).
+    /// path), recording the block in the change stream.
     pub fn remove_use(&mut self, b: BlockId, stage: StageId) {
         if let Some(i) = self.idx(b) {
             let sp = &mut self.spans[i];
@@ -280,7 +265,6 @@ impl RefProfile {
                 // `swap_remove`: the last entry fills the hole.
                 slot[pos] = slot[slot.len() - 1];
                 sp.len -= 1;
-                self.version += 1;
                 self.changed.push(i as u32);
                 if sp.len == 0 {
                     self.live_flips.insert(i);
@@ -309,7 +293,6 @@ impl RefProfile {
             }
             self.refs[(sp.start + sp.len) as usize] = StageRef { stage };
             sp.len += 1;
-            self.version += 1;
             self.changed.push(i as u32);
             if sp.len == 1 {
                 self.live_flips.insert(i);
@@ -381,41 +364,6 @@ mod tests {
         let mut p = RefProfile::with_pv(dag.stage_ids().map(|s| tracker.pv(s)).collect());
         p.rebuild(&dag, &|_, _| false, &|_| false);
         (dag, p)
-    }
-
-    #[test]
-    fn version_moves_only_on_changes() {
-        let (dag, mut p) = profile_at_start();
-        let v0 = p.version();
-        p.set_pv(StageId(1), p.pv[1]);
-        p.set_frontier(p.frontier);
-        assert_eq!(p.version(), v0, "same-value writes must not bump");
-        let _ = (
-            p.lrp_priority(BlockId::new(RddId(0), 0)),
-            p.is_live(BlockId::new(RddId(0), 0)),
-        );
-        assert_eq!(p.version(), v0, "lookups must not bump");
-
-        p.set_pv(StageId(1), p.pv[1] + 1);
-        let v1 = p.version();
-        assert!(v1 > v0, "set_pv with a new value");
-        p.set_frontier(p.frontier + 1);
-        let v2 = p.version();
-        assert!(v2 > v1, "set_frontier with a new value");
-
-        let a0 = BlockId::new(RddId(0), 0);
-        p.remove_use(a0, StageId(0));
-        let v3 = p.version();
-        assert!(v3 > v2, "remove_use");
-        p.remove_use(a0, StageId(0)); // nothing left to remove
-        assert_eq!(p.version(), v3);
-        p.add_use(a0, StageId(0));
-        let v4 = p.version();
-        assert!(v4 > v3, "add_use");
-        p.add_use(BlockId::new(RddId(9), 0), StageId(0)); // outside the DAG
-        assert_eq!(p.version(), v4);
-        p.rebuild(&dag, &|_, _| false, &|_| false);
-        assert!(p.version() > v4, "rebuild");
     }
 
     #[test]

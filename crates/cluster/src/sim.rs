@@ -77,7 +77,6 @@ struct RunningAttempt {
 // lint: incremental(cview, mutators = [launch, do_schedule, teardown_attempt, complete_stage, fail_attempt, requeue_task, exec_crash, exec_restart, resubmit_task, with_jobs, admit_job, reject_job], via = [apply, init_ready_list, set_stage_schedulable], oracle = check_consistency)
 // lint: incremental(data, mutators = [with_jobs, launch, finish_task, complete_stage, proactive_drops, prefetch_scan, prefetch_arrive, exec_crash, block_loss, requeue_task, resubmit_task, admit_job, reject_job], via = [add_disk, add_cached, remove_cached, remove_disk], oracle = check_inv_consistency)
 // lint: incremental(jobs, mutators = [with_jobs, run, job_arrival, admit_job, reject_job, complete_stage, resubmit_task, launch, teardown_attempt], via = [on_arrival, admit_queued, on_stage_complete, on_stage_reopened, on_cores_consumed, on_cores_released], oracle = check_consistency)
-// lint: incremental(prefetch_key, mutators = [prefetch_scan], init = [new], oracle = check_prefetch_pick)
 // lint: incremental(tick_dirty, mutators = [handle, launch, proactive_drops, resubmit_task], init = [new], oracle = check_quiet_tick)
 pub struct Simulation {
     dag: JobDag,
@@ -127,21 +126,13 @@ pub struct Simulation {
     drop_pass: DropPass,
     /// Reused victim buffer for `proactive_drops`.
     drop_victims: Vec<(u32, BlockId)>,
-    /// Per executor, `(bms[i].version(), profile.version(),
-    /// data.generation())` after a prefetch evaluation that started
-    /// nothing; `None` after one that started a transfer, so the slot's
-    /// later arrival, staleness or crash-clear always re-evaluates. While
-    /// it matches, free space, the node's candidates and the policy's
-    /// picks over them are unchanged, so the evaluation would start
-    /// nothing again and is skipped.
-    prefetch_key: Vec<Option<(u64, u64, u64)>>,
     /// Has anything a tick's cache work reads changed since the last
     /// tick took this flag? Set by every non-`Tick` event, every launch,
     /// every drop pass that evicts and every lineage resubmission. A tick
     /// that takes it clear skips `prefetch_scan` and `proactive_drops`:
-    /// every executor's `prefetch_key` still matches (or it is
-    /// prefetch-ineligible) and no drop change is waiting, so both would
-    /// be no-ops (DESIGN.md §19, §22).
+    /// nothing either reads changed since the last scan, which started
+    /// nothing on the executors still eligible, and no drop change is
+    /// waiting, so both would be no-ops (DESIGN.md §19, §22).
     tick_dirty: bool,
     /// Ticks that skipped the cache work on a clear `tick_dirty`.
     #[cfg_attr(not(test), allow(dead_code))] // read by the unit tests only
@@ -294,7 +285,6 @@ impl Simulation {
             prefetch_inflight: vec![None; n_exec],
             drop_pass: DropPass::default(),
             drop_victims: Vec::new(),
-            prefetch_key: vec![None; n_exec],
             tick_dirty: true,
             quiet_ticks: 0,
             // lint: allow(hash-ordered): membership-only, never iterated
@@ -1351,30 +1341,43 @@ impl Simulation {
     }
 
     /// Oracle for a tick that took `tick_dirty` clear: no drop change or
-    /// candidate transition is waiting, and every executor's prefetch
-    /// evaluation would be skipped by eligibility, by an empty node or by
-    /// its `prefetch_key`.
+    /// candidate transition is waiting, and every executor that
+    /// `prefetch_scan` would evaluate finds no candidate in its node's
+    /// full ranking that fits its free space.
     #[cfg(debug_assertions)]
-    fn check_quiet_tick(&self) -> bool {
-        let profile_v = self.profile.version();
-        let gen = self.data.generation();
-        !self.profile.has_changes()
-            && !self.profile.has_live_flips()
-            && !self.data.has_candidate_flips()
-            && (0..self.bms.len()).all(|i| {
-                let prefetch_idle = self.cfg.prefetch_free_frac.is_none_or(|threshold| {
-                    let node = self.topo.node_of_exec(ExecId(i as u32)).index();
-                    !self.faults.usable_idx(i)
-                        || self.prefetch_inflight[i].is_some()
-                        || self.bms[i].free_frac() < threshold
-                        || self
-                            .prefetch_cands
-                            .as_ref()
-                            .is_none_or(|c| c.node(node).is_empty())
-                        || self.prefetch_key[i] == Some((self.bms[i].version(), profile_v, gen))
-                });
-                !self.bms[i].has_fresh() && prefetch_idle
-            })
+    fn check_quiet_tick(&mut self) -> bool {
+        if self.profile.has_changes()
+            || self.profile.has_live_flips()
+            || self.data.has_candidate_flips()
+            || self.bms.iter().any(BlockManager::has_fresh)
+        {
+            return false;
+        }
+        let (Some(threshold), Some(cands)) =
+            (self.cfg.prefetch_free_frac, self.prefetch_cands.take())
+        else {
+            return true;
+        };
+        let mut order = Vec::new();
+        let mut idle = true;
+        for (node, execs) in self.topo.node_execs.iter().enumerate() {
+            if cands.node(node).is_empty() {
+                continue;
+            }
+            for &exec in execs {
+                let i = exec.index();
+                if !self.faults.usable_idx(i)
+                    || self.prefetch_inflight[i].is_some()
+                    || self.bms[i].free_frac() < threshold
+                {
+                    continue;
+                }
+                self.bms[i].prefetch_order(cands.node(node), &self.profile, &mut order);
+                idle &= self.check_prefetch_pick(i, &order, None);
+            }
+        }
+        self.prefetch_cands = Some(cands);
+        idle
     }
 
     /// Start a prefetch on every executor whose free space crossed the
@@ -1398,8 +1401,6 @@ impl Simulation {
             "prefetch candidate lists differ from a fresh filter"
         );
         let mut winners = std::mem::take(&mut self.prefetch_buf);
-        let profile_v = self.profile.version();
-        let gen = self.data.generation();
         for (node, execs) in self.topo.node_execs.iter().enumerate() {
             if cands.node(node).is_empty() {
                 continue;
@@ -1414,12 +1415,6 @@ impl Simulation {
                     continue;
                 }
                 if self.bms[i].free_frac() < threshold {
-                    continue;
-                }
-                let key = (self.bms[i].version(), profile_v, gen);
-                let unchanged = self.prefetch_key[i] == Some(key);
-                // Debug builds evaluate and check the skipped executors too.
-                if unchanged && !cfg!(debug_assertions) {
                     continue;
                 }
                 if !picked {
@@ -1447,21 +1442,12 @@ impl Simulation {
                         self.check_prefetch_pick(i, &order, pick),
                         "size-class prefetch pick on exec {i} differs from the ranking's first fit"
                     );
-                    debug_assert!(
-                        !unchanged || pick.is_none(),
-                        "skipped prefetch evaluation on exec {i} would start a transfer"
-                    );
-                }
-                if unchanged {
-                    continue;
                 }
                 let Some(b) = pick else {
-                    self.prefetch_key[i] = Some(key);
                     continue;
                 };
                 let mb = self.dag.rdd(b.rdd).block_mb;
                 self.prefetch_inflight[i] = Some((b, mb));
-                self.prefetch_key[i] = None;
                 self.metrics.cache.prefetches += 1;
                 let dt = self
                     .cfg
@@ -2124,6 +2110,62 @@ mod tests {
         sim.run_events(&mut GreedyFifo);
         let ticks = sim.now / sim.cfg.sched_tick_ms;
         assert!(ticks > 800, "only {ticks} ticks");
+        assert!(
+            sim.quiet_ticks * 10 >= ticks * 9,
+            "{} of {ticks} ticks quiet",
+            sim.quiet_ticks
+        );
+    }
+
+    /// Prefetches any candidate, lowest block id first; never evicts.
+    struct PrefetchById;
+
+    impl CachePolicy for PrefetchById {
+        fn policy_name(&self) -> &'static str {
+            "prefetch-by-id"
+        }
+        fn victim(
+            &mut self,
+            _c: &[BlockId],
+            _i: Option<BlockId>,
+            _p: &RefProfile,
+        ) -> Option<BlockId> {
+            None
+        }
+        fn prefetch_pick(&mut self, c: &[BlockId], _p: &RefProfile) -> Option<BlockId> {
+            c.iter().min().copied()
+        }
+        fn prefetch_order(&mut self, c: &[BlockId], _p: &RefProfile, out: &mut Vec<BlockId>) {
+            out.clear();
+            out.extend_from_slice(c);
+            out.sort_unstable();
+        }
+    }
+
+    #[test]
+    fn eligible_executor_with_no_fitting_candidate_keeps_ticks_quiet() {
+        // One executor, one core, two minute-long tasks over 150 MiB
+        // blocks and a 100 MiB cache: the executor stays above the
+        // threshold, and the block whose reader has not finished stays a
+        // candidate that never fits. Every quiet tick's oracle ranks it
+        // and finds no fit.
+        let mut b = dagon_dag::DagBuilder::new("too_big");
+        let big = b.hdfs_rdd_cached("big", 2, 150.0, true);
+        let _ = b
+            .stage("scan")
+            .tasks(2)
+            .demand_cpus(1)
+            .cpu_ms(60_000)
+            .reads_narrow(big)
+            .build();
+        let mut cfg = ClusterConfig::tiny(1, 1);
+        cfg.exec_cache_mb = 100.0;
+        cfg.prefetch_free_frac = Some(0.05);
+        let mut sim = Simulation::new(b.build().unwrap(), cfg, || Box::new(PrefetchById));
+        sim.run_events(&mut GreedyFifo);
+        assert_eq!(sim.metrics.cache.prefetches, 0);
+        let ticks = sim.now / sim.cfg.sched_tick_ms;
+        assert!(ticks > 1000, "only {ticks} ticks");
         assert!(
             sim.quiet_ticks * 10 >= ticks * 9,
             "{} of {ticks} ticks quiet",

@@ -223,8 +223,8 @@ fn crash_during_cached_stage_forces_lineage_recomputation() {
 /// BlockManager, the reference profile and block residency are exactly as
 /// they were when the transfer started: only the cleared in-flight slot
 /// differs. The first tick after the restart must evaluate it again and
-/// restart the transfer. Pinned to the values from before prefetch
-/// evaluations could be skipped.
+/// restart the transfer. Pinned to the values from before any prefetch
+/// evaluation was ever skipped on unchanged inputs.
 #[test]
 fn empty_cache_crash_mid_prefetch_is_reevaluated_after_restart() {
     // One node, three 1-core executors. `a` writes block X (cached, read
