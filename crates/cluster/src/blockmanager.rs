@@ -5,7 +5,7 @@
 //! itself lives in the [`crate::locality_index::LocalityIndex`]'s
 //! residency bitsets. The simulator routes every admit/evict through the
 //! index's mutators, which is what lets the index maintain its derived
-//! state — the inverted pending-work counts placement gates on — from
+//! state — the per-stage locality sets the placement probes read — from
 //! the same delta stream.
 //!
 //! Proactive drops are event-driven ([`DropPass`]): the profile and the

@@ -41,9 +41,9 @@
 //! so launch pops and re-inserts touch nothing here. A residency flip
 //! re-derives only its live readers' bits in the flipped executor, node
 //! and rack. `DESIGN.md` §26 gives the set algebra behind each query and
-//! the cost of every path; §14 argues why the claims-blind count gates
-//! keep first-match order, and §18 why indexing only live stages leaves
-//! every schedule unchanged.
+//! the cost of every path, §29 why [`scan_first`](LocalityIndex::scan_first)
+//! is the only placement probe, and §18 why indexing only live stages
+//! leaves every schedule unchanged.
 //!
 //! Each mutation that changes a bit advances the global
 //! [`generation`](LocalityIndex::generation). The unit tests and property
@@ -75,7 +75,8 @@ pub struct IndexStats {
     pub locality_queries: u64,
     /// Residency mutations that changed a bit (the index generation).
     pub invalidations: u64,
-    /// Count gates that answered "no work here" (probe skipped).
+    /// Placement probes ([`LocalityIndex::scan_first`]) that found no
+    /// task.
     pub inv_index_hits: u64,
     /// Live readers whose locality bits a residency flip changed, plus
     /// one per stage liveness flip.
@@ -523,7 +524,7 @@ impl Residency {
 // lint: incremental(live, mutators = [set_stage_live], oracle = check_live_set)
 // lint: incremental(sets, mutators = [activate, set_stage_live, relevel], oracle = check_inv_consistency)
 // lint: incremental(readers)
-// lint: hotpath(relevel, pending_level_count, pending_strict_count, scan_first)
+// lint: hotpath(relevel, scan_first)
 pub struct LocalityIndex {
     res: Residency,
     /// Residency mutations that changed a bit (monotone).
@@ -887,57 +888,6 @@ impl LocalityIndex {
         }
     }
 
-    /// Pending tasks of the set: the popcount of `set ∩ pending`, counting
-    /// a zero as a gate hit.
-    fn pending_count(&self, set: Diff<'_>, pending: &PendingSet) -> u32 {
-        let pw = pending.word_bits();
-        let c = (0..pw.len())
-            .map(|w| (diff_word(set, w) & pw[w]).count_ones())
-            .sum();
-        if c == 0 {
-            self.inv_hits.set(self.inv_hits.get() + 1);
-        }
-        c
-    }
-
-    /// Pending tasks of stage `s` at exactly `level` on executor `e`.
-    ///
-    /// Claims-blind by design, which keeps the zero-test *conservative
-    /// and exact* as a probe gate: a claims-aware probe only ever sees a
-    /// subset of these tasks, so a zero here proves
-    /// [`scan_first`](Self::scan_first) would return `None` — and a
-    /// non-zero takes the real claims-aware probe, identical to the
-    /// ungated walk. First-match order is therefore preserved bit-for-bit.
-    /// Defined for live stages only.
-    // lint: allow(panic-surface): stage/executor ids are dense and bound the stage's rows by construction
-    pub fn pending_level_count(
-        &self,
-        s: usize,
-        e: ExecId,
-        level: Locality,
-        pending: &PendingSet,
-    ) -> u32 {
-        debug_assert!(self.live[s], "count probe on non-live stage {s}");
-        self.pending_count(self.level_set(s, e, level, false), pending)
-    }
-
-    /// Pending tasks of stage `s` at exactly `level` on executor `e`
-    /// whose best level anywhere is also `level` — the strict probe's
-    /// candidate count. Claims-blind like
-    /// [`pending_level_count`](Self::pending_level_count), and defined for
-    /// live stages only.
-    // lint: allow(panic-surface): stage/executor ids are dense and bound the stage's rows by construction
-    pub fn pending_strict_count(
-        &self,
-        s: usize,
-        e: ExecId,
-        level: Locality,
-        pending: &PendingSet,
-    ) -> u32 {
-        debug_assert!(self.live[s], "strict count probe on non-live stage {s}");
-        self.pending_count(self.level_set(s, e, level, true), pending)
-    }
-
     /// From-scratch oracle for stage `s`: rebuild its sets by walking every
     /// executor for every task over the ground-truth residency rows (and
     /// re-derive its blocks' node- and rack-local rows), and compare. A
@@ -1157,7 +1107,8 @@ impl LocalityIndex {
     /// task's best achievable level anywhere to be no better than `level`.
     /// The first set bit of the level's set masked by pending and
     /// unclaimed: exactly the sequential first-match walk over the pending
-    /// tasks in ascending order. Defined for live stages only.
+    /// tasks in ascending order. Each miss adds one to `inv_index_hits`.
+    /// Defined for live stages only.
     // lint: allow(panic-surface): the set rows and the pending bitmap both span ceil(tasks / 64) words
     pub fn scan_first(
         &self,
@@ -1176,6 +1127,9 @@ impl LocalityIndex {
             diff_word(set, w) & pw[w] & !claimed_bits.get(w).copied().unwrap_or(0)
         })
         .next();
+        if first.is_none() {
+            self.inv_hits.set(self.inv_hits.get() + 1);
+        }
         first
     }
 
@@ -1268,40 +1222,23 @@ mod tests {
         Locality::Any
     }
 
-    /// Brute-force gate counts `(exact, strict)` from the index's own
-    /// per-executor levels.
-    fn brute_counts(
-        idx: &LocalityIndex,
-        s: usize,
-        pending: &PendingSet,
-        e: ExecId,
-        level: Locality,
-    ) -> (u32, u32) {
-        let (mut cnt, mut strict) = (0, 0);
-        for k in pending.iter() {
-            if idx.task_locality(s, k, e) != level {
-                continue;
-            }
-            cnt += 1;
-            strict += u32::from(idx.task_best_level(s, k) == level);
-        }
-        (cnt, strict)
-    }
-
-    fn assert_counts_match(idx: &LocalityIndex, s: usize, pending: &PendingSet) {
+    /// Every exact and strict probe of stage `s` on every executor equals
+    /// the sequential first match over its pending tasks, from the
+    /// index's own per-executor and best levels.
+    fn assert_probes_match(idx: &LocalityIndex, s: usize, pending: &PendingSet) {
         for e in (0..8).map(ExecId) {
             for level in Locality::ALL {
-                let (cnt, strict) = brute_counts(idx, s, pending, e, level);
-                assert_eq!(
-                    idx.pending_level_count(s, e, level, pending),
-                    cnt,
-                    "{e:?} {level:?}"
-                );
-                assert_eq!(
-                    idx.pending_strict_count(s, e, level, pending),
-                    strict,
-                    "strict {e:?} {level:?}"
-                );
+                for strict in [false, true] {
+                    let want = pending.iter().find(|&k| {
+                        idx.task_locality(s, k, e) == level
+                            && (!strict || idx.task_best_level(s, k) == level)
+                    });
+                    assert_eq!(
+                        idx.scan_first(s, e, level, strict, pending, &[]),
+                        want,
+                        "{e:?} {level:?} strict {strict}"
+                    );
+                }
             }
         }
     }
@@ -1468,86 +1405,47 @@ mod tests {
         let (_topo, mut idx, _) = build();
         idx.add_cached(BlockId::new(RddId(0), 2), ExecId(3));
         let pending = PendingSet::full(6);
-        // Oracle: sequential first-match over the pending set.
-        let seq = |idx: &LocalityIndex, e: ExecId, level: Locality, strict: bool| {
-            pending.iter().find(|&k| {
-                idx.task_locality(0, k, e) == level
-                    && (!strict || idx.task_best_level(0, k) >= level)
-            })
-        };
-        for e in 0..8u32 {
-            for level in Locality::ALL {
-                for strict in [false, true] {
-                    assert_eq!(
-                        idx.scan_first(0, ExecId(e), level, strict, &pending, &[]),
-                        seq(&idx, ExecId(e), level, strict),
-                        "exec {e} level {level:?} strict {strict}"
-                    );
-                }
-            }
-        }
+        assert_probes_match(&idx, 0, &pending);
+        let misses = idx.stats().inv_index_hits;
         let unclaimed = idx.scan_first(0, ExecId(3), Locality::Process, false, &pending, &[]);
         assert_eq!(unclaimed, Some(2));
+        assert_eq!(idx.stats().inv_index_hits, misses, "a hit is no miss");
         let claimed = vec![0b100u64]; // task 2 claimed
         let after = idx.scan_first(0, ExecId(3), Locality::Process, false, &pending, &claimed);
         assert_eq!(after, None);
+        assert_eq!(idx.stats().inv_index_hits, misses + 1, "a miss counts");
     }
 
     #[test]
-    fn counts_match_brute_force_through_history() {
+    fn probes_match_brute_force_through_history() {
         let (_topo, mut idx, _) = build();
         let mut pending = PendingSet::full(6);
         assert_eq!(idx.stats().inv_index_rebuilds, 1);
         assert!(idx.check_inv_consistency(0));
         // Interleave residency flips with pending pops and re-inserts
         // (which the index never hears about), checking the oracle and
-        // the per-gate counts at each step.
+        // every probe at each step.
         let b0 = BlockId::new(RddId(0), 0);
         let b4 = BlockId::new(RddId(0), 4);
         idx.add_cached(b0, ExecId(1));
-        assert_counts_match(&idx, 0, &pending);
+        assert_probes_match(&idx, 0, &pending);
         pending.remove(2);
         idx.add_cached(b4, ExecId(6));
         idx.add_disk(b4, NodeId(0));
-        assert_counts_match(&idx, 0, &pending);
+        assert_probes_match(&idx, 0, &pending);
         pending.remove(0);
         idx.remove_cached(b0, ExecId(1));
         assert!(pending.insert(2));
-        assert_counts_match(&idx, 0, &pending);
+        assert_probes_match(&idx, 0, &pending);
         // Crash-style loss: drop every replica of block 4.
         idx.remove_cached(b4, ExecId(6));
         for n in 0..4u32 {
             idx.remove_disk(b4, NodeId(n));
         }
         assert!(idx.check_inv_consistency(0));
-        assert_counts_match(&idx, 0, &pending);
+        assert_probes_match(&idx, 0, &pending);
         assert!(idx.stats().inv_index_updates > 0);
         assert_eq!(idx.stats().inv_index_rebuilds, 1);
-    }
-
-    #[test]
-    fn gate_zero_implies_probe_none() {
-        let (_topo, mut idx, _) = build();
-        let pending = PendingSet::full(6);
-        idx.add_cached(BlockId::new(RddId(0), 3), ExecId(2));
-        for e in 0..8u32 {
-            for level in Locality::ALL {
-                for strict in [false, true] {
-                    let gate = if strict {
-                        idx.pending_strict_count(0, ExecId(e), level, &pending)
-                    } else {
-                        idx.pending_level_count(0, ExecId(e), level, &pending)
-                    };
-                    let probe = idx.scan_first(0, ExecId(e), level, strict, &pending, &[]);
-                    assert_eq!(
-                        gate == 0,
-                        probe.is_none(),
-                        "exec {e} {level:?} strict {strict}"
-                    );
-                }
-            }
-        }
-        assert!(idx.stats().inv_index_hits > 0);
     }
 
     #[test]
@@ -1597,7 +1495,7 @@ mod tests {
         idx.set_stage_live(0, true);
         assert!(idx.check_live_set(&[0]));
         assert!(idx.check_inv_consistency(0));
-        assert_counts_match(&idx, 0, &pending);
+        assert_probes_match(&idx, 0, &pending);
         assert_eq!(idx.stats().inv_index_rebuilds, 1);
     }
 

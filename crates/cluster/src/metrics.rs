@@ -235,8 +235,9 @@ pub struct SchedulerStats {
     pub ect_heap_pops: u64,
     /// Retired: always 0, like [`Self::ect_heap_pops`].
     pub ect_heap_stale: u64,
-    /// Locality-index count gates that answered "no pending work at this
-    /// (stage, level, executor)" — placement probes skipped outright.
+    /// Locality-index placement probes that found no task at their
+    /// (stage, executor, level). The name predates this meaning;
+    /// `dagon_bench` reads the field by name.
     pub inv_index_hits: u64,
     /// Locality-index maintenance operations: live readers whose task
     /// set bits a residency flip changed, plus one per stage liveness

@@ -32,10 +32,9 @@ pub trait Scheduler {
     ///
     /// Within-batch claim tracking is the scheduler's own job (the view's
     /// pending sets only shrink when the simulator confirms a launch).
-    /// Note the view's pending-work gates (`has_pending_at` /
-    /// `has_pending_strict_at`) are deliberately claims-blind: a zero
-    /// answer is valid under *any* claim state, so they may be used to
-    /// skip probes but never to conclude a claimed task is available.
+    /// The view's placement probes (`pending_with_locality[_strict]`)
+    /// take the batch's [`ScheduleShadow`](crate::view::ScheduleShadow)
+    /// and never return a claimed task.
     fn schedule(&mut self, view: &SimView<'_>) -> Vec<Assignment>;
 
     /// A stage's parents all completed; its tasks are now pending.

@@ -718,15 +718,6 @@ impl Simulation {
                 .fits(self.dag.stage(a.stage).demand)
     }
 
-    /// Physical read tier for one block from one executor.
-    fn read_tier(&self, b: BlockId, exec: ExecId) -> ReadTier {
-        self.data.read_tier(b, exec)
-    }
-
-    fn locality_of(&self, stage: StageId, k: u32, exec: ExecId) -> Locality {
-        self.data.task_locality(stage.index(), k, exec)
-    }
-
     fn launch(&mut self, a: Assignment, speculative: bool, sched: &mut dyn Scheduler) {
         self.tick_dirty = true;
         let task = TaskId::new(a.stage, a.task_index);
@@ -735,7 +726,7 @@ impl Simulation {
         let task_cpu_ms = st.task_cpu_ms(a.task_index);
         let task_work = st.task_work(a.task_index);
         let exec = a.exec;
-        let locality = self.locality_of(a.stage, a.task_index, exec);
+        let locality = self.data.task_locality(a.stage.index(), a.task_index, exec);
 
         // Cache interactions + I/O time.
         let mut io_ms = 0.0f64;
@@ -767,7 +758,7 @@ impl Simulation {
                 }
                 continue;
             }
-            let tier = self.read_tier(b, exec);
+            let tier = self.data.read_tier(b, exec);
             io_ms += self.cfg.cost.read_ms(mb, tier);
             if eligible {
                 self.metrics.cache.misses += 1;
@@ -1554,7 +1545,7 @@ impl Simulation {
                     {
                         continue;
                     }
-                    let l = self.locality_of(s, task.index, exec);
+                    let l = self.data.task_locality(s.index(), task.index, exec);
                     let free = self.cview.free_of(exec).cpus;
                     if best.is_none_or(|(bl, bf, _)| l < bl || (l == bl && free > bf)) {
                         best = Some((l, free, exec));
@@ -1976,7 +1967,7 @@ impl Simulation {
                     continue;
                 }
                 for k in srt.pending.iter() {
-                    if self.locality_of(s, k, exec) == Locality::Node {
+                    if self.data.task_locality(s.index(), k, exec) == Locality::Node {
                         count += 1;
                     }
                 }

@@ -401,18 +401,9 @@ impl ScheduleShadow {
         self.claimed_count[s.index()]
     }
 
-    pub fn is_claimed(&self, s: StageId, k: u32) -> bool {
-        let bits = &self.claimed_bits[s.index()];
-        !bits.is_empty() && bits[(k / 64) as usize] >> (k % 64) & 1 == 1
-    }
-
     /// Claim bitset of a stage (empty slice = no claims).
     pub fn claim_bits(&self, s: StageId) -> &[u64] {
         &self.claimed_bits[s.index()]
-    }
-
-    pub fn free_of(&self, e: ExecId) -> Resources {
-        self.free[e.index()]
     }
 
     pub fn fits(&self, e: ExecId, demand: Resources) -> bool {
@@ -562,64 +553,20 @@ impl<'a> SimView<'a> {
         )
     }
 
-    /// Locality-index gate: does stage `s` have any *pending* task at
-    /// exactly `level` on `e`? Claims-blind on purpose — the claims-aware
-    /// probe can only find a subset of these tasks, so `false` proves
-    /// [`pending_with_locality`](Self::pending_with_locality) would
-    /// return `None`, while `true` routes to the real probe. Gating on
-    /// this is therefore schedule-neutral (DESIGN.md §14). Defined for
-    /// stages on the ready list: the index holds nothing for any other
-    /// stage (DESIGN.md §18).
-    pub fn has_pending_at(&self, s: StageId, e: ExecId, level: Locality) -> bool {
-        self.index
-            .pending_level_count(s.index(), e, level, &self.stages[s.index()].pending)
-            > 0
-    }
-
-    /// The strict-probe twin of [`has_pending_at`](Self::has_pending_at):
-    /// any pending task at exactly `level` on `e` whose best level
-    /// anywhere is also `level`? Defined for stages on the ready list.
-    pub fn has_pending_strict_at(&self, s: StageId, e: ExecId, level: Locality) -> bool {
-        self.index
-            .pending_strict_count(s.index(), e, level, &self.stages[s.index()].pending)
-            > 0
-    }
-
-    /// One-sided *unclaimed* existence test: `true` proves stage `s` has
-    /// an unclaimed pending task at exactly `level` on `e` without
-    /// identifying it. The claims-blind count overstates the unclaimed
-    /// population by at most the stage's claimed total (claims are a
-    /// subset of pending), so `count > claimed` is a proof; `false` means
-    /// "can't tell" and the claims-aware probe must decide. This is what
-    /// lets the pick loop's reject-and-park path (Alg. 2 line 9, which
-    /// discards the found task) skip the scan entirely. Defined for stages
-    /// on the ready list.
-    pub fn has_unclaimed_pending_at(
-        &self,
-        s: StageId,
-        e: ExecId,
-        level: Locality,
-        shadow: &ScheduleShadow,
-    ) -> bool {
-        self.index
-            .pending_level_count(s.index(), e, level, &self.stages[s.index()].pending)
-            > shadow.claimed_count(s)
-    }
-
     /// Locality levels for which stage `s` has at least one unclaimed
     /// pending task on *some* executor — the "valid locality levels" of
     /// Alg. 2 / Spark's `computeValidLocalityLevels`. Always includes
     /// `Any` if any task is pending. Three masked word scans over the
-    /// [`LocalityIndex`]'s task sets. Defined for stages on the ready list.
-    pub fn valid_levels(&self, s: StageId, shadow: &ScheduleShadow) -> Vec<Locality> {
-        let st = &self.stages[s.index()];
-        let (levels, n) = self.index.valid_levels(
+    /// [`LocalityIndex`]'s task sets, returned as `levels[..n]` of the
+    /// pair (`n == 0`: no unclaimed pending task). Defined for stages on
+    /// the ready list.
+    pub fn valid_levels(&self, s: StageId, shadow: &ScheduleShadow) -> ([Locality; 4], usize) {
+        self.index.valid_levels(
             s.index(),
-            &st.pending,
+            &self.stages[s.index()].pending,
             shadow.claim_bits(s),
             shadow.claimed_count(s),
-        );
-        levels[..n].to_vec()
+        )
     }
 
     /// Average duration of finished attempts of `s` at locality `l`
@@ -840,13 +787,16 @@ mod tests {
             v.pending_with_locality(StageId(0), ExecId(1), Locality::Process, &shadow),
             None
         );
-        assert!(shadow.is_claimed(StageId(0), 1));
+        assert_eq!(shadow.claim_bits(StageId(0)), &[0b10]);
         assert_eq!(shadow.claimed_count(StageId(0)), 1);
-        // Shadow resources were decremented by the stage demand (2 cpus).
-        assert_eq!(shadow.free_of(ExecId(1)).cpus, 2);
+        // Shadow resources were decremented by the stage demand (2 of 4
+        // cpus).
+        assert!(shadow.fits(ExecId(1), dagon_dag::Resources::new(2, 0)));
+        assert!(!shadow.fits(ExecId(1), dagon_dag::Resources::new(3, 0)));
         // Reset restores everything.
         shadow.reset(&v);
         assert_eq!(shadow.claimed_count(StageId(0)), 0);
+        assert!(shadow.fits(ExecId(1), dagon_dag::Resources::new(4, 0)));
         assert_eq!(
             v.pending_with_locality(StageId(0), ExecId(1), Locality::Process, &shadow),
             Some(1)
@@ -858,7 +808,8 @@ mod tests {
         let f = fixture();
         let v = view(&f);
         let shadow = ScheduleShadow::new(&v);
-        let levels = v.valid_levels(StageId(0), &shadow);
+        let (levels, n) = v.valid_levels(StageId(0), &shadow);
+        let levels = &levels[..n];
         assert!(levels.contains(&Locality::Node));
         assert!(levels.contains(&Locality::Any));
         assert!(!levels.contains(&Locality::Process));

@@ -18,11 +18,10 @@
 //! assignment — the batched loop is bit-for-bit equivalent to the old
 //! one-assignment-per-call loop, minus the per-pick view rebuilds.
 //!
-//! The placement half additionally gates each executor probe on the
-//! view's pending-work counts (`has_pending_at`, DESIGN.md §14, §26):
-//! the counts are claims-blind, so the shadow's within-batch claims never
-//! invalidate a zero answer, and the pick loop skips provably-empty
-//! probes while preserving the exact first-match order.
+//! The placement half asks one question per (executor, level): the
+//! view's claims-aware probe `pending_with_locality[_strict]`, a masked
+//! word scan over the locality index that stops at its first hit
+//! (DESIGN.md §26, §29).
 
 use dagon_cluster::{Assignment, Locality, ScheduleShadow, Scheduler, SimView};
 use dagon_dag::{SimTime, StageId, TaskId};

@@ -79,6 +79,9 @@ pub trait Placement {
     }
 }
 
+/// The ladder of a stage with no unclaimed pending task: `Any` alone.
+const ANY_ONLY: ([Locality; 4], usize) = ([Locality::Any; 4], 1);
+
 /// Native delay scheduling: launch strictly at or below the allowed
 /// locality; otherwise leave the executor idle.
 ///
@@ -112,19 +115,18 @@ impl NativeDelay {
         }
     }
 
+    /// The stage's wait-clock level and its valid locality ladder
+    /// (`levels[..n]`, never empty: a stage with no unclaimed pending task
+    /// gets [`ANY_ONLY`]).
     fn allowed(
         &mut self,
         stage: StageId,
         view: &SimView<'_>,
         shadow: &ScheduleShadow,
-    ) -> (Locality, Vec<Locality>) {
-        let valid = {
-            let v = view.valid_levels(stage, shadow);
-            if v.is_empty() {
-                vec![Locality::Any]
-            } else {
-                v
-            }
+    ) -> (Locality, [Locality; 4], usize) {
+        let (levels, n) = match view.valid_levels(stage, shadow) {
+            (_, 0) => ANY_ONLY,
+            valid => valid,
         };
         self.journal
             .push(JournalEntry::Clock(stage, self.clocks.get(&stage).cloned()));
@@ -132,8 +134,8 @@ impl NativeDelay {
             .clocks
             .entry(stage)
             .or_insert_with(|| WaitClock::new(view.now));
-        let allowed = clock.allowed(view.now, &view.locality_wait, &valid);
-        (allowed, valid)
+        let allowed = clock.allowed(view.now, &view.locality_wait, &levels[..n]);
+        (allowed, levels, n)
     }
 
     /// Between-batch oracle: every speculative clock/offer mutation has
@@ -155,14 +157,15 @@ impl Placement for NativeDelay {
         "delay"
     }
 
-    // lint: allow(panic-surface): free-list split indices come from partition_point on that list
+    // lint: allow(panic-surface): the ladder length is at most 4; free-list split indices come from partition_point on that list
     fn pick(
         &mut self,
         stage: StageId,
         view: &SimView<'_>,
         shadow: &ScheduleShadow,
     ) -> Option<(u32, ExecId, Locality)> {
-        let (allowed, valid) = self.allowed(stage, view, shadow);
+        let (allowed, levels, n) = self.allowed(stage, view, shadow);
+        let valid = &levels[..n];
         let demand = view.dag.stage(stage).demand;
         // Per-executor offers (rotating start), each taking its own best
         // task within the allowed level. Only free executors are visited
@@ -181,12 +184,6 @@ impl Placement for NativeDelay {
                 continue;
             }
             for &level in valid.iter().filter(|l| **l <= allowed) {
-                // Locality-index gate: a zero count proves the probe below
-                // would return None (claims only shrink the candidate
-                // set), so skipping it is schedule-neutral.
-                if !view.has_pending_at(stage, e.id, level) {
-                    continue;
-                }
                 if let Some(k) = view.pending_with_locality(stage, e.id, level, shadow) {
                     if self.tracing {
                         self.note = Some(PlacementNote {
@@ -322,14 +319,15 @@ impl Placement for SensitivityAware {
         "sensitivity"
     }
 
-    // lint: allow(panic-surface): `valid` is non-empty by construction; level indices are < 4; list splits come from partition_point
+    // lint: allow(panic-surface): `valid` is non-empty by construction; level indices are < 4
     fn pick(
         &mut self,
         stage: StageId,
         view: &SimView<'_>,
         shadow: &ScheduleShadow,
     ) -> Option<(u32, ExecId, Locality)> {
-        let (allowed, valid) = self.delay.allowed(stage, view, shadow);
+        let (allowed, levels, n) = self.delay.allowed(stage, view, shadow);
+        let valid = &levels[..n];
         let demand = view.dag.stage(stage).demand;
         let fallback = self.est_finish_ms(stage, valid[0], view);
         let ect = view.earliest_completion_ms(stage, fallback, shadow);
@@ -342,7 +340,7 @@ impl Placement for SensitivityAware {
         // (stage, level, view)); resolving it once per level lifts the
         // estimate out of the executor loop.
         let mut steal_ok = [false; 4];
-        for &level in &valid {
+        for &level in valid {
             if level > allowed {
                 steal_ok[level.index()] = self.est_finish_ms(stage, level, view) < threshold;
             }
@@ -350,23 +348,19 @@ impl Placement for SensitivityAware {
         // Alg. 2 line 3-12: executors outer, locality levels (ascending)
         // inner. Only free executors are visited: the ascending free list
         // matches the full ascending walk after the fits filter (a stage
-        // demand always includes a cpu). Every probe is gated on the
-        // locality index's per-(stage, level, executor) pending counts: a
-        // zero count proves the probe would return None (claims only
-        // shrink the candidate set), so the gates skip work without ever
-        // changing which task the first-match walk finds.
+        // demand always includes a cpu). Each (executor, level) pair is one
+        // locality-index probe, a masked word scan that stops at its first
+        // hit (DESIGN.md §29).
         for &ei in view.free_execs {
             let e = view.exec(ExecId(ei));
             if !shadow.fits(e.id, demand) {
                 continue;
             }
-            for &level in &valid {
+            for &level in valid {
                 if level <= allowed {
-                    if view.has_pending_at(stage, e.id, level) {
-                        if let Some(k) = view.pending_with_locality(stage, e.id, level, shadow) {
-                            self.note_pick(stage, level, allowed, ect, threshold, view);
-                            return Some((k, e.id, level));
-                        }
+                    if let Some(k) = view.pending_with_locality(stage, e.id, level, shadow) {
+                        self.note_pick(stage, level, allowed, ect, threshold, view);
+                        return Some((k, e.id, level));
                     }
                     continue;
                 }
@@ -374,42 +368,20 @@ impl Placement for SensitivityAware {
                 // this level has no better home to wait for: launching it
                 // here can only help, whatever the wait clock says (the
                 // master's block registry makes this check possible).
-                if view.has_pending_strict_at(stage, e.id, level) {
-                    if let Some(k) = view.pending_with_locality_strict(stage, e.id, level, shadow) {
-                        self.note_pick(stage, level, allowed, ect, threshold, view);
-                        return Some((k, e.id, level));
-                    }
-                }
-                if !view.has_pending_at(stage, e.id, level) {
-                    continue;
+                if let Some(k) = view.pending_with_locality_strict(stage, e.id, level, shadow) {
+                    self.note_pick(stage, level, allowed, ect, threshold, view);
+                    return Some((k, e.id, level));
                 }
                 // Remaining candidates at this level have a better home
                 // elsewhere (e.g. a busy cache-holding executor). Stealing
                 // one is harmless only when the stage wouldn't finish any
                 // sooner without it (Eq. 7) or is insensitive at this level
                 // (§II-A's rack ≈ node ≈ process case).
-                if !steal_ok[level.index()] {
-                    // Line 9: an unclaimed candidate here parks the
-                    // executor — only its *existence* matters, never its
-                    // identity, so prove it from the counts when possible
-                    // and fall back to the scan only when claims leave the
-                    // answer ambiguous. This is the dominant outcome for a
-                    // stage inside its locality-wait window, and skipping
-                    // the scan here is what keeps failed pick rounds free
-                    // of per-executor pending walks.
-                    if view.has_unclaimed_pending_at(stage, e.id, level, shadow) {
-                        break;
-                    }
-                    match view.pending_with_locality(stage, e.id, level, shadow) {
-                        // Claims exhausted the level on this executor —
-                        // the ungated loop's existence probe came up
-                        // empty too.
-                        None => continue,
-                        Some(_) => break,
-                    }
-                }
                 match view.pending_with_locality(stage, e.id, level, shadow) {
                     None => continue,
+                    // Line 9: an unclaimed candidate the steal test rejects
+                    // parks the executor.
+                    Some(_) if !steal_ok[level.index()] => break,
                     Some(k) => {
                         self.note_pick(stage, level, allowed, ect, threshold, view);
                         return Some((k, e.id, level));
@@ -442,5 +414,146 @@ impl Placement for SensitivityAware {
 
     fn take_note(&mut self) -> Option<PlacementNote> {
         self.delay.take_note()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dagon_cluster::hdfs::DataMap;
+    use dagon_cluster::view::narrow_input_table;
+    use dagon_cluster::{
+        CostModel, ExecView, LocalityIndex, LocalityWait, Metrics, NodeId, PendingSet,
+        StageRuntime, TaskView, Topology,
+    };
+    use dagon_dag::{BlockId, DagBuilder, JobDag, RddId, Resources};
+
+    /// 2 racks × 2 nodes × 1 executor; one 4-task stage. Task `k < 3`
+    /// reads block `k`, on node `k`'s disk: NODE on executor `k`, RACK on
+    /// its rack-mate, ANY across racks, best NODE. Task 3 has no locality
+    /// block: ANY everywhere, best ANY, so it is strict at ANY.
+    struct Fixture {
+        dag: JobDag,
+        topo: Topology,
+        index: LocalityIndex,
+        execs: Vec<ExecView>,
+        stages: Vec<StageRuntime>,
+        tasks: Vec<Vec<TaskView>>,
+        metrics: Metrics,
+        cost: CostModel,
+        narrow_mb: Vec<f64>,
+    }
+
+    fn fixture(pending: &[u32]) -> Fixture {
+        let mut b = DagBuilder::new("f");
+        let src = b.hdfs_rdd("in", 4, 64.0);
+        let _ = b
+            .stage("s")
+            .tasks(4)
+            .demand_cpus(2)
+            .cpu_ms(1000)
+            .reads_narrow(src)
+            .build();
+        let dag = b.build().unwrap();
+        let topo = Topology::build(&[2, 2], 1);
+        let mut data = DataMap::default();
+        for k in 0..4u32 {
+            data.add_disk(BlockId::new(RddId(0), k), NodeId(k));
+        }
+        let tasks = vec![(0..4u32)
+            .map(|k| TaskView {
+                loc_blocks: if k < 3 {
+                    vec![BlockId::new(RddId(0), k)]
+                } else {
+                    Vec::new()
+                },
+            })
+            .collect()];
+        let mut set = PendingSet::full(4);
+        for k in 0..4 {
+            if !pending.contains(&k) {
+                set.remove(k);
+            }
+        }
+        let index = LocalityIndex::new(&dag, &topo, &data, &tasks, &[true]);
+        Fixture {
+            execs: (0..4)
+                .map(|i| ExecView {
+                    id: ExecId(i),
+                    free: Resources::new(4, 8192),
+                    capacity: Resources::new(4, 8192),
+                })
+                .collect(),
+            stages: vec![StageRuntime {
+                id: StageId(0),
+                ready: true,
+                completed: false,
+                pending: set,
+                running: 0,
+                finished: 0,
+            }],
+            metrics: Metrics::new(1, 4, false),
+            narrow_mb: narrow_input_table(&dag),
+            cost: CostModel::default(),
+            dag,
+            topo,
+            index,
+            tasks,
+        }
+    }
+
+    /// A view at time 0 with only executor 0 free: the fresh wait clock
+    /// allows NODE, so RACK and ANY are above `allowed`.
+    fn view(f: &Fixture) -> SimView<'_> {
+        SimView {
+            now: 0,
+            dag: &f.dag,
+            topo: &f.topo,
+            cost: &f.cost,
+            locality_wait: LocalityWait::spark_default(),
+            execs: &f.execs,
+            stages: &f.stages,
+            tasks: &f.tasks,
+            index: &f.index,
+            metrics: &f.metrics,
+            narrow_mb: &f.narrow_mb,
+            usable_execs: 4,
+            exec_capacity: Resources::new(4, 8192),
+            ready: &[0],
+            free_execs: &[0],
+            tenant_cores: &[],
+            tenant_of_stage: &[],
+        }
+    }
+
+    /// Executor 0's pick under Alg. 2 with the given insensitivity factor
+    /// (0: no steal is admissible; huge: every steal is).
+    fn pick(pending: &[u32], insensitivity_factor: f64) -> Option<(u32, ExecId, Locality)> {
+        let f = fixture(pending);
+        let v = view(&f);
+        let mut p = SensitivityAware::new(StageEstimates::exact(&f.dag));
+        p.insensitivity_factor = insensitivity_factor;
+        p.set_tracing(true);
+        let got = p.pick(StageId(0), &v, &ScheduleShadow::new(&v));
+        if got.is_some() {
+            assert_eq!(
+                p.take_note().map(|n| n.allowed),
+                Some(Locality::Node.rank())
+            );
+        }
+        got
+    }
+
+    #[test]
+    fn sensitivity_pick_above_allowed_takes_steals_or_parks() {
+        // Strict take: task 3 has no better home, so it runs at ANY even
+        // though no steal is admissible and task 2 is also ANY here.
+        assert_eq!(pick(&[2, 3], 0.0), Some((3, ExecId(0), Locality::Any)));
+        // Steal: task 1 is RACK here but NODE on executor 1; an
+        // admissible steal takes it.
+        assert_eq!(pick(&[1], 1e9), Some((1, ExecId(0), Locality::Rack)));
+        // Park (Alg. 2 line 9): the rejected RACK candidate stops the
+        // executor's walk before the strict ANY task 3 is reached.
+        assert_eq!(pick(&[1, 3], 0.0), None);
     }
 }

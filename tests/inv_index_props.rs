@@ -15,10 +15,10 @@
 //!   inserts/evicts, disk replica adds and losses, executor crashes,
 //!   pending pops and re-inserts and both stages entering and leaving the
 //!   index. After every step, every exact and strict per-(executor,
-//!   level) count, every [`LocalityIndex::scan_first`] probe and
+//!   level) count (enumerated through the probe), every
+//!   [`LocalityIndex::scan_first`] probe and
 //!   [`LocalityIndex::valid_levels`] (both under a random claim subset)
-//!   must equal a brute-force walk over a shadow residency registry, and
-//!   a zero count must mean the unclaimed probe finds nothing.
+//!   must equal a brute-force walk over a shadow residency registry.
 //! * **Sim-level**: random workloads and chaos fault plans run end-to-end
 //!   in the dev profile, where `check_inv_consistency` re-derives every
 //!   live stage's sets from scratch at each scheduling opportunity; on
@@ -334,6 +334,23 @@ fn is_claimed(claimed: &[u64], k: u32) -> bool {
         .is_some_and(|w| w >> (k % 64) & 1 == 1)
 }
 
+/// Pending tasks of live stage `s` at exactly `level` on executor `e`
+/// (whose best level is also `level` when `strict`), counted through the
+/// index: probe, claim the hit, probe again until the probe finds nothing.
+fn probe_count(f: &Fixture, s: usize, e: ExecId, level: Locality, strict: bool) -> u32 {
+    let mut claimed = vec![0u64; f.pending[s].word_bits().len()];
+    let mut n = 0;
+    while let Some(k) = f
+        .idx
+        .scan_first(s, e, level, strict, &f.pending[s], &claimed)
+    {
+        assert!(!is_claimed(&claimed, k), "probe returned claimed task {k}");
+        claimed[k as usize / 64] |= 1 << (k % 64);
+        n += 1;
+    }
+    n
+}
+
 /// Brute-force `computeValidLocalityLevels` over stage `s`'s unclaimed
 /// pending tasks: each task walks executors in id order up to and
 /// including its first PROCESS-local one, contributing every sub-ANY
@@ -372,9 +389,11 @@ fn brute_valid_levels(
 
 proptest! {
     /// After every step of any valid history, every exact and strict
-    /// per-(executor, level) count of every live stage equals the
-    /// brute-force count over its pending tasks — and the index's own
-    /// from-scratch oracle agrees on both stages, live or not.
+    /// per-(executor, level) count of every live stage — the tasks
+    /// [`LocalityIndex::scan_first`] enumerates when each hit is claimed
+    /// in turn — equals the brute-force count over its pending tasks, and
+    /// the index's own live-set and from-scratch oracles agree on both
+    /// stages, live or not.
     #[test]
     fn inv_counts_match_brute_force_oracle(
         shape in shape_strategy(),
@@ -404,11 +423,11 @@ proptest! {
                         }
                         let ex = ExecId(e as u32);
                         prop_assert_eq!(
-                            f.idx.pending_level_count(s, ex, level, &f.pending[s]), cnt,
+                            probe_count(&f, s, ex, level, false), cnt,
                             "count drift at stage {} exec {} level {:?}", s, e, level
                         );
                         prop_assert_eq!(
-                            f.idx.pending_strict_count(s, ex, level, &f.pending[s]), scnt,
+                            probe_count(&f, s, ex, level, true), scnt,
                             "strict count drift at stage {} exec {} level {:?}", s, e, level
                         );
                     }
@@ -419,9 +438,9 @@ proptest! {
 
     /// The probe itself, differentially: after every step, for every live
     /// stage and every (executor, level, strict) combination,
-    /// [`LocalityIndex::scan_first`] under a random claim subset returns
-    /// exactly the first unclaimed pending task at that level, and the
-    /// count gates agree with the unclaimed probe (zero ⟺ empty).
+    /// [`LocalityIndex::scan_first`] with and without a random claim
+    /// subset returns exactly the first (unclaimed) pending task at that
+    /// level.
     #[test]
     fn scan_first_matches_fresh_scan_through_history(
         shape in shape_strategy(),
@@ -455,17 +474,6 @@ proptest! {
                             );
                             let open = f.idx.scan_first(s, ex, level, strict, &f.pending[s], &[]);
                             prop_assert_eq!(open, first(&[]));
-                            let cnt = if strict {
-                                f.idx.pending_strict_count(s, ex, level, &f.pending[s])
-                            } else {
-                                f.idx.pending_level_count(s, ex, level, &f.pending[s])
-                            };
-                            prop_assert_eq!(
-                                cnt > 0,
-                                open.is_some(),
-                                "gate {} vs probe {:?} at stage {} exec {} level {:?} strict {}",
-                                cnt, open, s, e, level, strict
-                            );
                         }
                     }
                 }
@@ -590,7 +598,8 @@ proptest! {
 
 /// Pinned: the crash-restart shape most likely to churn pending sets and
 /// residency at once (every executor dies at least once under chaos seed
-/// 11 on CC) — the regression that motivated the claims-blind gate design.
+/// 11 on CC) — the regression that motivated keeping claims out of the
+/// index.
 #[test]
 fn chaos_regression_cc_seed11() {
     check_run(Workload::ConnectedComponent, 8, 2, Some(11));

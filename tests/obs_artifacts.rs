@@ -207,7 +207,7 @@ fn metrics_registry_snapshot_on_paper_scale_run() {
     );
     // Same discipline for the inverted pending-work index: one build at
     // startup, incrementally maintained ever after — and it must actually
-    // absorb placement probes at paper scale.
+    // answer placement probes at paper scale (a miss is `inv_index_hits`).
     assert_eq!(
         num("sched/inv_index_rebuilds") as u64,
         1,
@@ -215,7 +215,7 @@ fn metrics_registry_snapshot_on_paper_scale_run() {
     );
     assert!(
         num("sched/inv_index_hits") > 0.0,
-        "inverted-index gates never skipped a probe at paper scale"
+        "no locality-index placement probe missed at paper scale"
     );
     assert!(
         num("sched/inv_index_updates") > 0.0,
