@@ -42,7 +42,9 @@
 //! re-derives only its live readers' bits in the flipped executor, node
 //! and rack. `DESIGN.md` §26 gives the set algebra behind each query and
 //! the cost of every path, §29 why [`scan_first`](LocalityIndex::scan_first)
-//! is the only placement probe, and §18 why indexing only live stages
+//! is the only per-executor placement probe, §30 the node-scope test
+//! ([`node_has_pending`](LocalityIndex::node_has_pending)) that lets the
+//! walk skip executors, and §18 why indexing only live stages
 //! leaves every schedule unchanged.
 //!
 //! Each mutation that changes a bit advances the global
@@ -71,12 +73,13 @@ use crate::view::TaskView;
 /// queries run through the shared [`crate::view::SimView`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IndexStats {
-    /// Locality lookups answered (read tiers, task levels, probes).
+    /// Locality lookups answered: read tiers, task levels and placement
+    /// probes. A probe is a [`LocalityIndex::scan_first`] or a node-scope
+    /// test ([`LocalityIndex::node_has_pending`]), one each.
     pub locality_queries: u64,
     /// Residency mutations that changed a bit (the index generation).
     pub invalidations: u64,
-    /// Placement probes ([`LocalityIndex::scan_first`]) that found no
-    /// task.
+    /// Placement probes (see `locality_queries`) that found no task.
     pub inv_index_hits: u64,
     /// Live readers whose locality bits a residency flip changed, plus
     /// one per stage liveness flip.
@@ -524,7 +527,7 @@ impl Residency {
 // lint: incremental(live, mutators = [set_stage_live], oracle = check_live_set)
 // lint: incremental(sets, mutators = [activate, set_stage_live, relevel], oracle = check_inv_consistency)
 // lint: incremental(readers)
-// lint: hotpath(relevel, scan_first)
+// lint: hotpath(relevel, scan_first, node_has_pending, first_in)
 pub struct LocalityIndex {
     res: Residency,
     /// Residency mutations that changed a bit (monotone).
@@ -1107,9 +1110,7 @@ impl LocalityIndex {
     /// task's best achievable level anywhere to be no better than `level`.
     /// The first set bit of the level's set masked by pending and
     /// unclaimed: exactly the sequential first-match walk over the pending
-    /// tasks in ascending order. Each miss adds one to `inv_index_hits`.
-    /// Defined for live stages only.
-    // lint: allow(panic-surface): the set rows and the pending bitmap both span ceil(tasks / 64) words
+    /// tasks in ascending order. Defined for live stages only.
     pub fn scan_first(
         &self,
         s: usize,
@@ -1119,9 +1120,44 @@ impl LocalityIndex {
         pending: &PendingSet,
         claimed_bits: &[u64],
     ) -> Option<u32> {
+        self.first_in(
+            s,
+            self.level_set(s, e, level, strict),
+            pending,
+            claimed_bits,
+        )
+    }
+
+    /// Does `N[n]` hold an unclaimed pending task of stage `s`, i.e. is
+    /// some such task NODE-or-better on `n`? The node-scope test of the
+    /// placement walk: when it fails, every PROCESS and NODE probe on
+    /// `n`'s executors misses, and their RACK and ANY probes depend on the
+    /// rack alone (DESIGN.md §30). Defined for live stages only.
+    pub fn node_has_pending(
+        &self,
+        s: usize,
+        n: NodeId,
+        pending: &PendingSet,
+        claimed_bits: &[u64],
+    ) -> bool {
+        let row = Some(self.set_row(s, self.res.num_execs() + n.index()));
+        self.first_in(s, (row, None), pending, claimed_bits)
+            .is_some()
+    }
+
+    /// First set bit of `set` masked by pending and unclaimed. Every call
+    /// is one probe: it adds one to `locality_queries`, and a miss adds
+    /// one to `inv_index_hits`.
+    // lint: allow(panic-surface): the set rows and the pending bitmap both span ceil(tasks / 64) words
+    fn first_in(
+        &self,
+        s: usize,
+        set: Diff<'_>,
+        pending: &PendingSet,
+        claimed_bits: &[u64],
+    ) -> Option<u32> {
         debug_assert!(self.live[s], "placement probe on non-live stage {s}");
         self.queries.set(self.queries.get() + 1);
-        let set = self.level_set(s, e, level, strict);
         let pw = pending.word_bits();
         let first = set_bits(pw.len(), |w| {
             diff_word(set, w) & pw[w] & !claimed_bits.get(w).copied().unwrap_or(0)

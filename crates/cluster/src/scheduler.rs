@@ -22,7 +22,7 @@ pub struct Assignment {
 /// A task scheduling policy. The simulator calls [`Scheduler::schedule`]
 /// whenever resources free up, stages become ready, or the periodic tick
 /// fires; the scheduler returns a batch of assignments computed against the
-/// view (decrementing its own shadow of free resources within the batch).
+/// view (tracking the resources its own batch has claimed).
 pub trait Scheduler {
     fn name(&self) -> String;
 

@@ -23,7 +23,7 @@ use crate::locality::Locality;
 use crate::locality_index::LocalityIndex;
 use crate::metrics::Metrics;
 use crate::pending::PendingSet;
-use crate::topology::{ExecId, Topology};
+use crate::topology::{ExecId, NodeId, Topology};
 
 /// Per-executor snapshot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -332,13 +332,24 @@ pub struct TaskView {
     pub loc_blocks: Vec<dagon_dag::BlockId>,
 }
 
-/// The scheduler's working state for one assignment batch: its shadow of
-/// free executor resources and the tasks it has already claimed. Pending
-/// queries subtract the claims, so each pick in a batch sees the same
-/// state it would have seen had the previous picks already been applied.
+/// The scheduler's working state for one assignment batch: the resources
+/// and tasks it has already claimed. Pending queries subtract the claims,
+/// so each pick in a batch sees the same state it would have seen had the
+/// previous picks already been applied.
+///
+/// Resources are an overlay on the view, not a copy of it: `used[e]` is
+/// the sum of the batch's claims on executor `e`, and [`Self::fits`] reads
+/// `view.execs[e].free.minus(used[e])`. Saturating subtraction composes
+/// (`(f − a) − b = f − (a + b)` for non-negative `a`, `b`), so that equals
+/// subtracting each claim in turn from a copied free vector, without the
+/// per-batch copy: [`Self::reset`] zeroes only the executors the last
+/// batch claimed on (DESIGN.md §30).
 #[derive(Clone, Debug, Default)]
 pub struct ScheduleShadow {
-    free: Vec<Resources>,
+    /// Per executor: the resources the batch's claims hold on it.
+    used: Vec<Resources>,
+    /// Executors with a non-zero `used` entry, each once.
+    used_on: Vec<u32>,
     /// Count of executors with free shadow cpus, maintained by `claim` so
     /// [`Self::any_free`] is O(1) instead of a per-pick executor scan.
     n_free: usize,
@@ -349,22 +360,27 @@ pub struct ScheduleShadow {
 
 impl ScheduleShadow {
     pub fn new(view: &SimView<'_>) -> Self {
-        let mut s = Self {
-            free: Vec::with_capacity(view.execs.len()),
+        Self {
+            used: vec![Resources::ZERO; view.execs.len()],
+            used_on: Vec::new(),
             n_free: view.free_execs.len(),
             claimed_count: vec![0; view.stages.len()],
             claimed_bits: vec![Vec::new(); view.stages.len()],
             touched: Vec::new(),
-        };
-        s.free.extend(view.execs.iter().map(|e| e.free));
-        s
+        }
     }
 
     /// Reset for a new batch against a fresh view (reuses allocations;
-    /// only stages touched last batch are cleared).
+    /// only executors and stages claimed on last batch are cleared).
     pub fn reset(&mut self, view: &SimView<'_>) {
-        self.free.clear();
-        self.free.extend(view.execs.iter().map(|e| e.free));
+        for &e in &self.used_on {
+            self.used[e as usize] = Resources::ZERO;
+        }
+        self.used_on.clear();
+        debug_assert!(
+            self.used.iter().all(|u| *u == Resources::ZERO),
+            "shadow claims survived a reset"
+        );
         self.n_free = view.free_execs.len();
         for &s in &self.touched {
             self.claimed_count[s as usize] = 0;
@@ -375,14 +391,18 @@ impl ScheduleShadow {
         self.touched.clear();
     }
 
-    /// Record a pick: decrement the shadow resources and mark the task
-    /// claimed.
+    /// Record a pick: add the stage demand to the executor's claimed
+    /// resources and mark the task claimed.
     pub fn claim(&mut self, view: &SimView<'_>, s: StageId, k: u32, e: ExecId) {
         let demand = view.dag.stage(s).demand;
-        let fe = &mut self.free[e.index()];
-        let had_cpus = fe.cpus > 0;
-        *fe = fe.minus(demand);
-        if had_cpus && fe.cpus == 0 {
+        let free = view.execs[e.index()].free;
+        let used = &mut self.used[e.index()];
+        let had_cpus = free.minus(*used).cpus > 0;
+        if *used == Resources::ZERO {
+            self.used_on.push(e.0);
+        }
+        *used = used.plus(demand);
+        if had_cpus && free.minus(*used).cpus == 0 {
             self.n_free -= 1;
         }
         let si = s.index();
@@ -406,8 +426,13 @@ impl ScheduleShadow {
         &self.claimed_bits[s.index()]
     }
 
-    pub fn fits(&self, e: ExecId, demand: Resources) -> bool {
-        self.free[e.index()].fits(demand)
+    /// Does `demand` fit in what the batch's claims leave of `e`'s free
+    /// resources in `view` (the view this batch was reset against)?
+    pub fn fits(&self, view: &SimView<'_>, e: ExecId, demand: Resources) -> bool {
+        view.execs[e.index()]
+            .free
+            .minus(self.used[e.index()])
+            .fits(demand)
     }
 
     pub fn any_free(&self) -> bool {
@@ -553,6 +578,25 @@ impl<'a> SimView<'a> {
         )
     }
 
+    /// Is some unclaimed pending task of `s` NODE-or-better on node `n`
+    /// (`N[n]` masked by pending and claims)? When not, every PROCESS and
+    /// NODE probe on `n`'s executors misses and their RACK and ANY probes
+    /// depend only on `n`'s rack (DESIGN.md §30). Defined for stages on
+    /// the ready list.
+    pub fn node_has_unclaimed_pending(
+        &self,
+        s: StageId,
+        n: NodeId,
+        shadow: &ScheduleShadow,
+    ) -> bool {
+        self.index.node_has_pending(
+            s.index(),
+            n,
+            &self.stages[s.index()].pending,
+            shadow.claim_bits(s),
+        )
+    }
+
     /// Locality levels for which stage `s` has at least one unclaimed
     /// pending task on *some* executor — the "valid locality levels" of
     /// Alg. 2 / Spark's `computeValidLocalityLevels`. Always includes
@@ -630,7 +674,6 @@ mod tests {
     use super::*;
     use crate::hdfs::DataMap;
     use crate::metrics::Metrics;
-    use crate::topology::NodeId;
     use dagon_dag::{BlockId, DagBuilder, RddId};
 
     struct Fixture {
@@ -791,12 +834,12 @@ mod tests {
         assert_eq!(shadow.claimed_count(StageId(0)), 1);
         // Shadow resources were decremented by the stage demand (2 of 4
         // cpus).
-        assert!(shadow.fits(ExecId(1), dagon_dag::Resources::new(2, 0)));
-        assert!(!shadow.fits(ExecId(1), dagon_dag::Resources::new(3, 0)));
+        assert!(shadow.fits(&v, ExecId(1), dagon_dag::Resources::new(2, 0)));
+        assert!(!shadow.fits(&v, ExecId(1), dagon_dag::Resources::new(3, 0)));
         // Reset restores everything.
         shadow.reset(&v);
         assert_eq!(shadow.claimed_count(StageId(0)), 0);
-        assert!(shadow.fits(ExecId(1), dagon_dag::Resources::new(4, 0)));
+        assert!(shadow.fits(&v, ExecId(1), dagon_dag::Resources::new(4, 0)));
         assert_eq!(
             v.pending_with_locality(StageId(0), ExecId(1), Locality::Process, &shadow),
             Some(1)
@@ -864,6 +907,78 @@ mod tests {
         assert!(!shadow.any_free(), "all execs full but any_free says free");
         shadow.reset(&v);
         assert!(shadow.any_free());
+    }
+
+    /// Every `(executor, demand)` fit and the free flag of two shadows
+    /// agree under `v`.
+    fn assert_same_fits(v: &SimView<'_>, a: &ScheduleShadow, b: &ScheduleShadow) {
+        for e in 0..v.execs.len() as u32 {
+            for cpus in 0..=5 {
+                for mem in [0, 2048, 8192, 9000] {
+                    let d = dagon_dag::Resources::new(cpus, mem);
+                    assert_eq!(
+                        a.fits(v, ExecId(e), d),
+                        b.fits(v, ExecId(e), d),
+                        "exec {e} {d:?}"
+                    );
+                }
+            }
+        }
+        assert_eq!(a.any_free(), b.any_free());
+    }
+
+    #[test]
+    fn reset_against_a_changed_view_matches_a_fresh_shadow() {
+        let f = fixture();
+        let v = view(&f);
+        let mut shadow = ScheduleShadow::new(&v);
+        for (k, e) in [(0, 0), (1, 0), (2, 1), (3, 3)] {
+            shadow.claim(&v, StageId(0), k, ExecId(e));
+        }
+        // Launches and a crash moved the view between batches: exec 0 is
+        // full, exec 1 half busy, exec 2 down.
+        let mut execs = f.execs.clone();
+        execs[0].free = dagon_dag::Resources::ZERO;
+        execs[1].free = dagon_dag::Resources::new(2, 4096);
+        execs[2].free = dagon_dag::Resources::ZERO;
+        execs[2].capacity = dagon_dag::Resources::ZERO;
+        let free_execs = [1, 3];
+        let v2 = SimView {
+            execs: &execs,
+            free_execs: &free_execs,
+            ..view(&f)
+        };
+        shadow.reset(&v2);
+        let mut fresh = ScheduleShadow::new(&v2);
+        assert_same_fits(&v2, &shadow, &fresh);
+        assert!(shadow.claim_bits(StageId(0)).iter().all(|w| *w == 0));
+        assert_eq!(shadow.claimed_count(StageId(0)), 0);
+        // The same claims keep both in step, down to the last free cpu.
+        for (k, e) in [(0, 1), (1, 3), (2, 3)] {
+            shadow.claim(&v2, StageId(0), k, ExecId(e));
+            fresh.claim(&v2, StageId(0), k, ExecId(e));
+            assert_same_fits(&v2, &shadow, &fresh);
+        }
+        assert!(!shadow.any_free());
+    }
+
+    #[test]
+    fn shadow_fits_match_step_by_step_subtraction() {
+        let f = fixture();
+        let v = view(&f);
+        let mut shadow = ScheduleShadow::new(&v);
+        let demand = f.dag.stage(StageId(0)).demand;
+        let mut copied: Vec<_> = f.execs.iter().map(|e| e.free).collect();
+        for (k, e) in [(0, 2), (1, 2), (2, 0)] {
+            shadow.claim(&v, StageId(0), k, ExecId(e));
+            copied[e as usize] = copied[e as usize].minus(demand);
+            for (i, c) in copied.iter().enumerate() {
+                for cpus in 0..=4 {
+                    let d = dagon_dag::Resources::new(cpus, 1024);
+                    assert_eq!(shadow.fits(&v, ExecId(i as u32), d), c.fits(d));
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,10 +18,17 @@
 //! assignment — the batched loop is bit-for-bit equivalent to the old
 //! one-assignment-per-call loop, minus the per-pick view rebuilds.
 //!
-//! The placement half asks one question per (executor, level): the
-//! view's claims-aware probe `pending_with_locality[_strict]`, a masked
-//! word scan over the locality index that stops at its first hit
-//! (DESIGN.md §26, §29).
+//! The placement half walks the free executors through
+//! [`scope_walk`](crate::placement::scope_walk). An executor on a node
+//! that holds an unclaimed pending task of the stage asks one question
+//! per level: the view's claims-aware probe
+//! `pending_with_locality[_strict]`, a masked word scan over the locality
+//! index that stops at its first hit (DESIGN.md §26, §29). The
+//! executors on a rack's nodes that hold no such task all reach the same
+//! outcome, so once the first of them takes nothing the rest are skipped
+//! without a probe (§30). The shadow is an overlay: it holds only the batch's claimed
+//! resources per executor, and `reset` clears just the executors the
+//! last batch claimed on.
 
 use dagon_cluster::{Assignment, Locality, ScheduleShadow, Scheduler, SimView};
 use dagon_dag::{SimTime, StageId, TaskId};

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use dagon_cluster::{ExecId, Locality, ScheduleShadow, SimView};
+use dagon_cluster::{ExecId, Locality, NodeId, RackId, ScheduleShadow, SimView, Topology};
 use dagon_dag::{SimTime, StageEstimates, StageId};
 
 use crate::waits::WaitClock;
@@ -41,8 +41,8 @@ pub struct PlacementNote {
 }
 
 /// Picks `(task, executor, locality)` for one stage, or `None` if the stage
-/// should wait. `shadow` is the caller's view of free executor resources
-/// and already-claimed tasks, maintained across a multi-assignment batch.
+/// should wait. `shadow` holds the resources and tasks the current
+/// multi-assignment batch has already claimed, an overlay on `view`.
 pub trait Placement {
     fn placement_name(&self) -> &'static str;
 
@@ -81,6 +81,135 @@ pub trait Placement {
 
 /// The ladder of a stage with no unclaimed pending task: `Any` alone.
 const ANY_ONLY: ([Locality; 4], usize) = ([Locality::Any; 4], 1);
+
+/// The executor walk both placements share, factored by scope (DESIGN.md
+/// §30): the first `Some` that `visit` returns over the executors of
+/// `order` that `fits` admits, i.e. `order.filter(fits).find_map(visit)`,
+/// provided that `visit`'s outcome on an executor whose node fails
+/// `node_holds` depends only on the executor's rack.
+///
+/// With `A` the stage's unclaimed pending tasks, `node_holds(n)` tests
+/// `N[n] ∩ A ≠ ∅`. A node that fails it is *empty*: every PROCESS and
+/// NODE probe on its executors misses (`P[e] ⊆ N[n]`), and their RACK and
+/// ANY probes, strict or plain, depend on the rack alone, as does a steal
+/// test. So every fitting executor on an empty node of a rack reaches the
+/// same outcome: once the first of them takes nothing, the rest of that
+/// rack's empty-node executors are skipped without a probe. A node is
+/// tested only after an executor of its rack took nothing, and once per
+/// run of its executors in `order`: ids are contiguous per node and per
+/// rack, so an ascending walk tests each node at most once, and a rotated
+/// one at most one node twice.
+// lint: hotpath(scope_walk, delay_levels, sensitivity_levels)
+pub fn scope_walk<T>(
+    topo: &Topology,
+    order: impl IntoIterator<Item = u32>,
+    fits: impl Fn(ExecId) -> bool,
+    node_holds: impl Fn(NodeId) -> bool,
+    visit: impl Fn(ExecId) -> Option<T>,
+) -> Option<T> {
+    // The last node tested and its answer.
+    let mut tested: Option<(NodeId, bool)> = None;
+    let mut holds = |n: NodeId| match tested {
+        Some((m, h)) if m == n => h,
+        _ => {
+            let h = node_holds(n);
+            tested = Some((n, h));
+            h
+        }
+    };
+    // The rack whose empty-node executors took nothing.
+    let mut spent: Option<RackId> = None;
+    for ei in order {
+        let e = ExecId(ei);
+        if !fits(e) {
+            continue;
+        }
+        let n = topo.node_of_exec(e);
+        let r = topo.rack_of_node(n);
+        if spent == Some(r) && !holds(n) {
+            continue;
+        }
+        if let Some(t) = visit(e) {
+            return Some(t);
+        }
+        if spent != Some(r) && !holds(n) {
+            spent = Some(r);
+        }
+    }
+    None
+}
+
+/// Native delay scheduling on one executor: the first valid level at or
+/// below `allowed` whose probe finds a task. `probe(level, strict)` is
+/// the executor's placement probe.
+pub fn delay_levels(
+    valid: &[Locality],
+    allowed: Locality,
+    probe: impl Fn(Locality, bool) -> Option<u32>,
+) -> Option<(u32, Locality)> {
+    valid
+        .iter()
+        .filter(|l| **l <= allowed)
+        .find_map(|&level| probe(level, false).map(|k| (k, level)))
+}
+
+/// Alg. 2 lines 4-11 on one executor: locality levels ascending, each one
+/// placement probe (a masked word scan that stops at its first hit,
+/// DESIGN.md §29). Bit `l` of `steal_ok` says that stealing a task at
+/// level `l` above `allowed` is admissible; `probe(level, strict)` is the
+/// executor's placement probe.
+pub fn sensitivity_levels(
+    valid: &[Locality],
+    allowed: Locality,
+    steal_ok: u8,
+    probe: impl Fn(Locality, bool) -> Option<u32>,
+) -> Option<(u32, Locality)> {
+    for &level in valid {
+        if level <= allowed {
+            if let Some(k) = probe(level, false) {
+                return Some((k, level));
+            }
+            continue;
+        }
+        // A task whose best achievable level anywhere is exactly this
+        // level has no better home to wait for: launching it here can only
+        // help, whatever the wait clock says (the master's block registry
+        // makes this check possible).
+        if let Some(k) = probe(level, true) {
+            return Some((k, level));
+        }
+        // Remaining candidates at this level have a better home elsewhere
+        // (e.g. a busy cache-holding executor). Stealing one is harmless
+        // only when the stage wouldn't finish any sooner without it (Eq. 7)
+        // or is insensitive at this level (§II-A's rack ≈ node ≈ process
+        // case).
+        match probe(level, false) {
+            None => continue,
+            // Line 9: an unclaimed candidate the steal test rejects parks
+            // the executor.
+            Some(_) if steal_ok >> level.index() & 1 == 0 => break,
+            Some(k) => return Some((k, level)),
+        }
+    }
+    None
+}
+
+/// Executor `e`'s placement probe for `stage` under the batch's claims,
+/// as [`delay_levels`] and [`sensitivity_levels`] take it.
+fn probe<'v>(
+    view: &'v SimView<'_>,
+    shadow: &'v ScheduleShadow,
+    stage: StageId,
+    e: ExecId,
+) -> impl Fn(Locality, bool) -> Option<u32> + 'v {
+    move |level, strict| {
+        if strict {
+            view.pending_with_locality_strict(stage, e, level, shadow)
+        } else {
+            view.pending_with_locality(stage, e, level, shadow)
+        }
+    }
+}
 
 /// Native delay scheduling: launch strictly at or below the allowed
 /// locality; otherwise leave the executor idle.
@@ -172,32 +301,31 @@ impl Placement for NativeDelay {
         // (stage demands always include a cpu, so the view's free list is a
         // superset of every shadow-fitting executor); the circular
         // from-`offer_start` order is preserved by splitting the ascending
-        // free list at the rotation point.
+        // free list at the rotation point. The scope-factored walk skips
+        // the empty-node executors of a rack once one of them took nothing
+        // (DESIGN.md §30); they all reach the same outcome, so the
+        // rotation does not change which task is found.
         let n = view.execs.len();
         self.journal.push(JournalEntry::Offer(self.offer_start));
         self.offer_start = (self.offer_start + 1) % n.max(1);
         let fe = view.free_execs;
         let p = fe.partition_point(|&e| (e as usize) < self.offer_start);
-        for &ei in fe[p..].iter().chain(fe[..p].iter()) {
-            let e = view.exec(ExecId(ei));
-            if !shadow.fits(e.id, demand) {
-                continue;
-            }
-            for &level in valid.iter().filter(|l| **l <= allowed) {
-                if let Some(k) = view.pending_with_locality(stage, e.id, level, shadow) {
-                    if self.tracing {
-                        self.note = Some(PlacementNote {
-                            allowed: allowed.rank(),
-                            ect_ms: -1.0,
-                            est_ms: -1.0,
-                            threshold_ms: -1.0,
-                        });
-                    }
-                    return Some((k, e.id, level));
-                }
-            }
+        let found = scope_walk(
+            view.topo,
+            fe[p..].iter().chain(&fe[..p]).copied(),
+            |e| shadow.fits(view, e, demand),
+            |n| view.node_has_unclaimed_pending(stage, n, shadow),
+            |e| delay_levels(valid, allowed, probe(view, shadow, stage, e)).map(|(k, l)| (k, e, l)),
+        );
+        if found.is_some() && self.tracing {
+            self.note = Some(PlacementNote {
+                allowed: allowed.rank(),
+                ect_ms: -1.0,
+                est_ms: -1.0,
+                threshold_ms: -1.0,
+            });
         }
-        None
+        found
     }
 
     fn on_launch(&mut self, stage: StageId, level: Locality, now: SimTime) {
@@ -319,7 +447,7 @@ impl Placement for SensitivityAware {
         "sensitivity"
     }
 
-    // lint: allow(panic-surface): `valid` is non-empty by construction; level indices are < 4
+    // lint: allow(panic-surface): `valid` is non-empty by construction
     fn pick(
         &mut self,
         stage: StageId,
@@ -329,67 +457,41 @@ impl Placement for SensitivityAware {
         let (allowed, levels, n) = self.delay.allowed(stage, view, shadow);
         let valid = &levels[..n];
         let demand = view.dag.stage(stage).demand;
-        let fallback = self.est_finish_ms(stage, valid[0], view);
-        let ect = view.earliest_completion_ms(stage, fallback, shadow);
         // A low-locality launch is harmless when (a) the stage's backlog
         // means it cannot finish sooner anyway (Eq. 7), or (b) the stage is
         // insensitive at that level (§II-A's rack ≈ node ≈ process case).
         let best_est = self.est_finish_ms(stage, valid[0], view);
+        let ect = view.earliest_completion_ms(stage, best_est, shadow);
         let threshold = ect.max(self.insensitivity_factor * best_est);
         // Steal admissibility is executor-independent (a pure function of
         // (stage, level, view)); resolving it once per level lifts the
         // estimate out of the executor loop.
-        let mut steal_ok = [false; 4];
+        let mut steal_ok = 0u8;
         for &level in valid {
-            if level > allowed {
-                steal_ok[level.index()] = self.est_finish_ms(stage, level, view) < threshold;
+            if level > allowed && self.est_finish_ms(stage, level, view) < threshold {
+                steal_ok |= 1 << level.index();
             }
         }
         // Alg. 2 line 3-12: executors outer, locality levels (ascending)
         // inner. Only free executors are visited: the ascending free list
         // matches the full ascending walk after the fits filter (a stage
-        // demand always includes a cpu). Each (executor, level) pair is one
-        // locality-index probe, a masked word scan that stops at its first
-        // hit (DESIGN.md §29).
-        for &ei in view.free_execs {
-            let e = view.exec(ExecId(ei));
-            if !shadow.fits(e.id, demand) {
-                continue;
-            }
-            for &level in valid {
-                if level <= allowed {
-                    if let Some(k) = view.pending_with_locality(stage, e.id, level, shadow) {
-                        self.note_pick(stage, level, allowed, ect, threshold, view);
-                        return Some((k, e.id, level));
-                    }
-                    continue;
-                }
-                // A task whose best achievable level anywhere is exactly
-                // this level has no better home to wait for: launching it
-                // here can only help, whatever the wait clock says (the
-                // master's block registry makes this check possible).
-                if let Some(k) = view.pending_with_locality_strict(stage, e.id, level, shadow) {
-                    self.note_pick(stage, level, allowed, ect, threshold, view);
-                    return Some((k, e.id, level));
-                }
-                // Remaining candidates at this level have a better home
-                // elsewhere (e.g. a busy cache-holding executor). Stealing
-                // one is harmless only when the stage wouldn't finish any
-                // sooner without it (Eq. 7) or is insensitive at this level
-                // (§II-A's rack ≈ node ≈ process case).
-                match view.pending_with_locality(stage, e.id, level, shadow) {
-                    None => continue,
-                    // Line 9: an unclaimed candidate the steal test rejects
-                    // parks the executor.
-                    Some(_) if !steal_ok[level.index()] => break,
-                    Some(k) => {
-                        self.note_pick(stage, level, allowed, ect, threshold, view);
-                        return Some((k, e.id, level));
-                    }
-                }
-            }
+        // demand always includes a cpu). The scope-factored walk skips the
+        // empty-node executors of a rack once one of them took nothing
+        // (DESIGN.md §30).
+        let found = scope_walk(
+            view.topo,
+            view.free_execs.iter().copied(),
+            |e| shadow.fits(view, e, demand),
+            |n| view.node_has_unclaimed_pending(stage, n, shadow),
+            |e| {
+                sensitivity_levels(valid, allowed, steal_ok, probe(view, shadow, stage, e))
+                    .map(|(k, l)| (k, e, l))
+            },
+        );
+        if let Some((_, _, level)) = found {
+            self.note_pick(stage, level, allowed, ect, threshold, view);
         }
-        None
+        found
     }
 
     fn on_launch(&mut self, stage: StageId, level: Locality, now: SimTime) {

@@ -18,7 +18,10 @@
 //!   level) count (enumerated through the probe), every
 //!   [`LocalityIndex::scan_first`] probe and
 //!   [`LocalityIndex::valid_levels`] (both under a random claim subset)
-//!   must equal a brute-force walk over a shadow residency registry.
+//!   must equal a brute-force walk over a shadow residency registry, and
+//!   the scope-factored placement walk over the index's probes and
+//!   node-scope tests must equal the per-executor walk over brute-force
+//!   probes.
 //! * **Sim-level**: random workloads and chaos fault plans run end-to-end
 //!   in the dev profile, where `check_inv_consistency` re-derives every
 //!   live stage's sets from scratch at each scheduling opportunity; on
@@ -35,6 +38,7 @@ use dagon_cluster::{
 };
 use dagon_core::{run_system, System};
 use dagon_dag::{BlockId, DagBuilder, RddId};
+use dagon_sched::placement::{delay_levels, scope_walk, sensitivity_levels};
 use dagon_workloads::{Scale, Workload};
 use proptest::prelude::*;
 
@@ -105,6 +109,16 @@ fn reads_strategy() -> impl Strategy<Value = Vec<(u32, u32, u32)>> {
 /// A claim draw: two words, masked to each stage's pending set.
 fn claims_strategy() -> impl Strategy<Value = [u64; 2]> {
     (0u64..u64::MAX, 0u64..u64::MAX).prop_map(|(a, b)| [a, b])
+}
+
+/// A placement-walk draw `(ladder, allowed, steal, fits)`: bit `l` of
+/// `ladder` puts level `l` on the valid ladder (ANY is always on it),
+/// `allowed` indexes the wait clock's level, bit `l` of `steal` admits a
+/// steal at level `l`, and executor `e` fits iff bit `e % 64` of `fits`
+/// is set (the OR of two draws: about three in four fit).
+fn walk_strategy() -> impl Strategy<Value = (u8, usize, u8, u64)> {
+    (0u8..8, 0usize..4, 0u8..16, claims_strategy())
+        .prop_map(|(ladder, allowed, steal, [a, b])| (ladder, allowed, steal, a | b))
 }
 
 /// A topology with `shape[r][j]` executors on the `j`-th node of rack
@@ -504,6 +518,96 @@ proptest! {
                     brute_valid_levels(&f, s, &levels[s], &claimed),
                     "valid levels diverged at stage {} claims {:?}", s, claimed
                 );
+            }
+        }
+    }
+}
+
+proptest! {
+    /// The scope-factored placement walk, differentially: after every
+    /// step, for every live stage under a random claim subset, ladder,
+    /// allowed level, steal mask and fits mask, [`scope_walk`] over the
+    /// index's probes and node-scope tests returns exactly what the
+    /// per-executor walk returns — the first fitting executor whose level
+    /// walk, over brute-force probes, takes a task — for both placements'
+    /// level walks and for every rotation start of the executor order.
+    /// The node-scope test itself must match the brute-force levels.
+    #[test]
+    fn scope_walk_matches_per_executor_walk(
+        shape in shape_strategy(),
+        reads in reads_strategy(),
+        steps in proptest::collection::vec(
+            (step_strategy(), claims_strategy(), walk_strategy()),
+            0..12,
+        ),
+    ) {
+        let mut f = build(&shape, &reads);
+        let ne = f.topo.num_execs() as u32;
+        for &(ref step, draw, (ladder, allowed, steal, fits)) in &steps {
+            drive(step, &mut f);
+            let levels = brute_levels(&f);
+            let valid: Vec<Locality> = Locality::ALL
+                .into_iter()
+                .filter(|l| *l == Locality::Any || ladder >> l.index() & 1 == 1)
+                .collect();
+            let allowed = Locality::ALL[allowed];
+            let fit = |e: ExecId| fits >> (e.0 % 64) & 1 == 1;
+            for s in live_stages(&f) {
+                let claimed = &claims_of(&f, s, draw)[..];
+                let (idx, pending) = (&f.idx, &f.pending[s]);
+                let unclaimed = |k: &u32| !is_claimed(claimed, *k);
+                let best: Vec<Locality> =
+                    levels[s].iter().map(|l| *l.iter().min().unwrap()).collect();
+                let (levels, best) = (&levels[s], &best);
+                let node_holds = |n: NodeId| idx.node_has_pending(s, n, pending, claimed);
+                for (n, execs) in f.topo.node_execs.iter().enumerate() {
+                    let want = pending.iter().filter(unclaimed).any(|k| {
+                        execs.iter().all(|e| levels[k as usize][e.index()] <= Locality::Node)
+                    });
+                    prop_assert_eq!(node_holds(NodeId(n as u32)), want, "node test at node {}", n);
+                }
+                let brute = |e: u32| {
+                    move |level: Locality, strict: bool| {
+                        pending.iter().filter(unclaimed).find(|&k| {
+                            levels[k as usize][e as usize] == level
+                                && (!strict || best[k as usize] == level)
+                        })
+                    }
+                };
+                let index = |e: ExecId| {
+                    move |level, strict| idx.scan_first(s, e, level, strict, pending, claimed)
+                };
+                // Per executor, brute force: native delay's and Alg. 2's
+                // outcome.
+                let outcomes: [Vec<Option<(u32, Locality)>>; 2] = [
+                    (0..ne).map(|e| delay_levels(&valid, allowed, brute(e))).collect(),
+                    (0..ne)
+                        .map(|e| sensitivity_levels(&valid, allowed, steal, brute(e)))
+                        .collect(),
+                ];
+                for start in 0..ne {
+                    let order = (start..ne).chain(0..start);
+                    for (walk, outcome) in outcomes.iter().enumerate() {
+                        let want = order.clone().find_map(|e| {
+                            outcome[e as usize]
+                                .filter(|_| fit(ExecId(e)))
+                                .map(|(k, l)| (k, ExecId(e), l))
+                        });
+                        let got = scope_walk(&f.topo, order.clone(), fit, node_holds, |e| {
+                            let found = if walk == 0 {
+                                delay_levels(&valid, allowed, index(e))
+                            } else {
+                                sensitivity_levels(&valid, allowed, steal, index(e))
+                            };
+                            found.map(|(k, l)| (k, e, l))
+                        });
+                        prop_assert_eq!(
+                            got, want,
+                            "walk {} diverged at stage {} start {} valid {:?} allowed {:?}",
+                            walk, s, start, valid, allowed
+                        );
+                    }
+                }
             }
         }
     }
