@@ -75,7 +75,7 @@ fn size_class_pick(
 ) -> Option<BlockId> {
     let mut sorted = candidates.to_vec();
     sorted.sort_by(|a, b| size(*a).total_cmp(&size(*b)));
-    let classes = sorted.chunk_by(|a, b| size(*a) == size(*b));
+    let classes = sorted.chunk_by(|a, b| size(*a).total_cmp(&size(*b)).is_eq());
     let mut policy = kind.build();
     let winners: Vec<BlockId> = classes
         .filter_map(|c| policy.prefetch_pick(c, profile))

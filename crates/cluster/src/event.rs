@@ -34,22 +34,15 @@ pub enum ViewDelta {
 /// Events the simulator reacts to.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Event {
-    /// A task attempt completes on an executor. `attempt` distinguishes
-    /// speculative copies; a stale finish (task already completed by another
-    /// attempt) is ignored.
-    TaskFinish {
-        task: TaskId,
-        exec: ExecId,
-        attempt: u32,
-    },
+    /// A task attempt completes. The three attempt events name their
+    /// attempt by `(task, attempt)` key and act only while that key is
+    /// still live; an attempt that lost a race or died in a crash left
+    /// them stale.
+    TaskFinish { task: TaskId, attempt: u32 },
     /// A task attempt finished its input I/O phase and starts burning CPU
     /// (the boundary the utilization metric is measured around — cgroup CPU
     /// accounting sees I/O wait as idle).
-    IoDone {
-        task: TaskId,
-        exec: ExecId,
-        attempt: u32,
-    },
+    IoDone { task: TaskId, attempt: u32 },
     /// A prefetched block arrives in an executor's cache.
     PrefetchArrive { block: BlockId, exec: ExecId },
     /// Dynamic job admission (online multi-tenant runs): job `job` of the
@@ -76,11 +69,7 @@ pub enum Event {
     BlockLoss { block: BlockId, exec: ExecId },
     /// A doomed task attempt (picked by the fault RNG at launch) dies
     /// partway through its compute phase instead of finishing.
-    TaskFail {
-        task: TaskId,
-        exec: ExecId,
-        attempt: u32,
-    },
+    TaskFail { task: TaskId, attempt: u32 },
 }
 
 /// Min-heap of `(time, seq, slot)`. The monotonically increasing `seq`
@@ -227,7 +216,6 @@ mod tests {
             5,
             Event::TaskFinish {
                 task: t0,
-                exec: ExecId(0),
                 attempt: 0,
             },
         );
@@ -235,7 +223,6 @@ mod tests {
             5,
             Event::TaskFinish {
                 task: t1,
-                exec: ExecId(1),
                 attempt: 0,
             },
         );

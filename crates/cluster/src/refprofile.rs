@@ -171,12 +171,12 @@ impl RefProfile {
 
     /// Rebuild the use map from scratch.
     ///
-    /// * `task_done(stage, index)` — has that task finished?
+    /// * `task_finished(stage, index)` — has that task finished?
     /// * `stage_done(stage)` — has the whole stage finished?
     pub fn rebuild(
         &mut self,
         dag: &JobDag,
-        task_done: &dyn Fn(StageId, u32) -> bool,
+        task_finished: &dyn Fn(StageId, u32) -> bool,
         stage_done: &dyn Fn(StageId) -> bool,
     ) {
         // (Re)derive the dense layout from the DAG's RDD table; partition
@@ -194,7 +194,7 @@ impl RefProfile {
         // out the arena, then fill it in the same push order.
         self.spans.clear();
         self.spans.resize(total as usize, Span::default());
-        for_each_use(dag, &self.offsets, task_done, stage_done, |i, _| {
+        for_each_use(dag, &self.offsets, task_finished, stage_done, |i, _| {
             self.spans[i].cap += 1;
         });
         let mut start = 0u32;
@@ -205,7 +205,7 @@ impl RefProfile {
         self.refs.clear();
         self.refs
             .resize(start as usize, StageRef { stage: StageId(0) });
-        for_each_use(dag, &self.offsets, task_done, stage_done, |i, stage| {
+        for_each_use(dag, &self.offsets, task_finished, stage_done, |i, stage| {
             let sp = &mut self.spans[i];
             self.refs[(sp.start + sp.len) as usize] = StageRef { stage };
             sp.len += 1;
@@ -319,7 +319,7 @@ impl RefProfile {
 fn for_each_use(
     dag: &JobDag,
     offsets: &[u32],
-    task_done: &dyn Fn(StageId, u32) -> bool,
+    task_finished: &dyn Fn(StageId, u32) -> bool,
     stage_done: &dyn Fn(StageId) -> bool,
     mut f: impl FnMut(usize, StageId),
 ) {
@@ -333,7 +333,7 @@ fn for_each_use(
             match input.kind {
                 DepKind::Narrow => {
                     for k in 0..stage.num_tasks {
-                        if !task_done(stage.id, k) {
+                        if !task_finished(stage.id, k) {
                             f(base + k as usize, stage.id);
                         }
                     }
@@ -342,7 +342,7 @@ fn for_each_use(
                     // Block j is read by task j % num_tasks (the
                     // simulator's round-robin shuffle split).
                     for j in 0..rdd.num_partitions {
-                        if !task_done(stage.id, j % stage.num_tasks) {
+                        if !task_finished(stage.id, j % stage.num_tasks) {
                             f(base + j as usize, stage.id);
                         }
                     }
@@ -572,7 +572,7 @@ mod props {
         fn rebuild(
             &mut self,
             dag: &JobDag,
-            task_done: &dyn Fn(StageId, u32) -> bool,
+            task_finished: &dyn Fn(StageId, u32) -> bool,
             stage_done: &dyn Fn(StageId) -> bool,
         ) {
             self.uses = dag
@@ -593,7 +593,7 @@ mod props {
                             DepKind::Narrow => continue,
                             DepKind::Wide => j % stage.num_tasks,
                         };
-                        if !task_done(stage.id, k) {
+                        if !task_finished(stage.id, k) {
                             let uses = self.uses.get_mut(&BlockId::new(rdd.id, j)).unwrap();
                             uses.push(StageRef { stage: stage.id });
                         }
@@ -646,13 +646,13 @@ mod props {
         for (t, step) in steps.iter().enumerate() {
             match *step {
                 Step::Rebuild { seed } => {
-                    let task_done = |s: StageId, k: u32| {
+                    let task_finished = |s: StageId, k: u32| {
                         mix(seed, u64::from(s.0) << 32 | u64::from(k)).is_multiple_of(3)
                     };
                     let stage_done =
                         |s: StageId| mix(seed ^ 0xff, u64::from(s.0)).is_multiple_of(4);
-                    p.rebuild(dag, &task_done, &stage_done);
-                    m.rebuild(dag, &task_done, &stage_done);
+                    p.rebuild(dag, &task_finished, &stage_done);
+                    m.rebuild(dag, &task_finished, &stage_done);
                 }
                 Step::RemoveUse { b, s } => {
                     let (b, s) = (blocks[b % blocks.len()], StageId((s % n) as u32));

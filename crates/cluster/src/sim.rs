@@ -62,6 +62,7 @@ fn sync_ready(
     index.set_stage_live(si, on);
 }
 
+/// One live attempt, keyed `(task, attempt)` in `Simulation::running`.
 struct RunningAttempt {
     exec: ExecId,
     start: SimTime,
@@ -73,11 +74,42 @@ struct RunningAttempt {
     cpu_phase: bool,
 }
 
+/// One task's attempt bookkeeping (DESIGN.md §31). Which attempts are
+/// live is `Simulation::running`'s job, not the row's.
+#[derive(Clone, Copy, Default)]
+struct TaskRow {
+    /// The id the next attempt gets. Ids are never reissued, so an event
+    /// whose `(task, attempt)` key is gone from `running` is stale.
+    /// Fault-free runs only ever issue 0 (primary) and 1 (speculative).
+    next_attempt: u32,
+    /// Injected failures so far (bounded retry).
+    retries: u32,
+    /// Has an attempt won? Cleared only by lineage resubmission.
+    done: bool,
+    /// Has a speculative copy launched? Set at that launch and cleared
+    /// only by `requeue_task`: a resubmitted task keeps it.
+    speculated: bool,
+}
+
+/// How a live attempt ended; see [`Simulation::end_attempt`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum AttemptEnd {
+    /// It finished first: the task's winner.
+    Won,
+    /// Another attempt of its task won first.
+    LostRace,
+    /// An injected task failure.
+    Failed,
+    /// Its executor crashed.
+    Killed,
+}
+
 /// One simulation run in progress.
-// lint: incremental(cview, mutators = [launch, do_schedule, teardown_attempt, complete_stage, fail_attempt, requeue_task, exec_crash, exec_restart, resubmit_task, with_jobs, admit_job, reject_job], via = [apply, init_ready_list, set_stage_schedulable], oracle = check_consistency)
+// lint: incremental(cview, mutators = [launch, do_schedule, end_attempt, complete_stage, fail_attempt, requeue_task, exec_crash, exec_restart, resubmit_task, with_jobs, admit_job, reject_job], via = [apply, init_ready_list, set_stage_schedulable], oracle = check_consistency)
 // lint: incremental(data, mutators = [with_jobs, launch, finish_task, complete_stage, proactive_drops, prefetch_scan, prefetch_arrive, exec_crash, block_loss, requeue_task, resubmit_task, admit_job, reject_job], via = [add_disk, add_cached, remove_cached, remove_disk], oracle = check_inv_consistency)
-// lint: incremental(jobs, mutators = [with_jobs, run, job_arrival, admit_job, reject_job, complete_stage, resubmit_task, launch, teardown_attempt], via = [on_arrival, admit_queued, on_stage_complete, on_stage_reopened, on_cores_consumed, on_cores_released], oracle = check_consistency)
+// lint: incremental(jobs, mutators = [with_jobs, run, job_arrival, admit_job, reject_job, complete_stage, resubmit_task, launch, end_attempt], via = [on_arrival, admit_queued, on_stage_complete, on_stage_reopened, on_cores_consumed, on_cores_released], oracle = check_consistency)
 // lint: incremental(tick_dirty, mutators = [handle, launch, proactive_drops, resubmit_task], init = [new], oracle = check_quiet_tick)
+// lint: incremental(tasks, mutators = [launch, finish_task, fail_attempt, requeue_task, speculation_check, resubmit_task], init = [new], oracle = check_tasks)
 pub struct Simulation {
     dag: JobDag,
     cfg: ClusterConfig,
@@ -103,24 +135,20 @@ pub struct Simulation {
     /// Once-per-run static table: per-stage narrow-input MiB (was
     /// recomputed inside every `est_finish_ms` call).
     narrow_mb: Vec<f64>,
-    task_done: Vec<Vec<bool>>,
+    /// stage → task → attempt bookkeeping, laid out like `task_inputs`.
+    tasks: Vec<Vec<TaskRow>>,
     stage_durations: Vec<Vec<u64>>,
     profile: RefProfile,
     tracker: PriorityTracker,
     queue: EventQueue,
     metrics: Metrics,
     now: SimTime,
-    /// Live attempts, keyed `(task, attempt)`. A BTreeMap so every
-    /// iteration (crash kill lists, speculation candidates, loser scans)
-    /// is in deterministic key order by construction.
+    /// Live attempts, keyed `(task, attempt)`: the only liveness record.
+    /// A queued `TaskFinish`/`TaskFail`/`IoDone` acts iff its key is
+    /// still here. A BTreeMap so every iteration (crash kill lists,
+    /// speculation candidates, loser scans) is in deterministic key
+    /// order by construction.
     running: BTreeMap<(TaskId, u32), RunningAttempt>,
-    /// Attempt keys whose still-queued finish/fail event must be swallowed
-    /// (cancelled losers, crash victims). Membership-only: never iterated,
-    /// so a HashSet can't leak nondeterminism.
-    // lint: allow(hash-ordered): membership-only, never iterated
-    cancelled: HashSet<(TaskId, u32)>,
-    // lint: allow(hash-ordered): membership-only, never iterated
-    spec_launched: HashSet<TaskId>,
     prefetch_inflight: Vec<Option<(BlockId, f64)>>,
     /// The event-driven proactive drop pass and its reused buffers.
     drop_pass: DropPass,
@@ -146,13 +174,6 @@ pub struct Simulation {
     /// Dynamic multi-job state (online multi-tenant runs); `None` for the
     /// classic batch mode, where the whole DAG is live from t=0.
     jobs: Option<JobsRuntime>,
-    /// stage → task → next attempt id. Monotone per task, so a retried
-    /// task's fresh attempt can never collide with a stale `cancelled`
-    /// entry from a dead one. Fault-free runs only ever see 0 (primary)
-    /// and 1 (speculative).
-    attempt_seq: Vec<Vec<u32>>,
-    /// stage → task → injected-failure count (bounded retry).
-    retries: Vec<Vec<u32>>,
     /// Output blocks each executor wrote to its node's disk — the files an
     /// executor crash destroys. Only tracked when faults are enabled.
     outputs_by_exec: Vec<Vec<BlockId>>,
@@ -227,10 +248,10 @@ impl Simulation {
                 finished: 0,
             })
             .collect();
-        let task_done = dag
+        let tasks = dag
             .stages()
             .iter()
-            .map(|s| vec![false; s.num_tasks as usize])
+            .map(|s| vec![TaskRow::default(); s.num_tasks as usize])
             .collect();
         let stage_durations = vec![Vec::new(); dag.num_stages()];
         let tracker = PriorityTracker::from_dag(&dag);
@@ -245,12 +266,6 @@ impl Simulation {
         let prefetch_cands = cfg
             .prefetch_free_frac
             .map(|_| CandidateLists::new(&dag, topo.num_nodes(), &mut data, &mut profile));
-        let attempt_seq: Vec<Vec<u32>> = dag
-            .stages()
-            .iter()
-            .map(|s| vec![0; s.num_tasks as usize])
-            .collect();
-        let retries = attempt_seq.clone();
         let mut producer_of_rdd: Vec<Option<StageId>> = vec![None; dag.rdds().len()];
         for st in dag.stages() {
             producer_of_rdd[st.output.index()] = Some(st.id);
@@ -270,7 +285,7 @@ impl Simulation {
             task_inputs,
             narrow_mb,
             task_views,
-            task_done,
+            tasks,
             stage_durations,
             profile,
             tracker,
@@ -278,10 +293,6 @@ impl Simulation {
             metrics,
             now: 0,
             running: BTreeMap::new(),
-            // lint: allow(hash-ordered): membership-only, never iterated
-            cancelled: HashSet::new(),
-            // lint: allow(hash-ordered): membership-only, never iterated
-            spec_launched: HashSet::new(),
             prefetch_inflight: vec![None; n_exec],
             drop_pass: DropPass::default(),
             drop_victims: Vec::new(),
@@ -293,8 +304,6 @@ impl Simulation {
             rng: SmallRng::seed_from_u64(cfg.seed ^ 0xd1ce_5eed),
             faults,
             jobs: None,
-            attempt_seq,
-            retries,
             outputs_by_exec: vec![Vec::new(); n_exec],
             lost_pending: Vec::new(),
             producer_of_rdd,
@@ -478,6 +487,7 @@ impl Simulation {
             }
             self.do_schedule(sched);
         }
+        debug_assert!(self.running.is_empty(), "an attempt outlived the run");
     }
 
     fn handle(&mut self, ev: Event, sched: &mut dyn Scheduler) {
@@ -485,28 +495,16 @@ impl Simulation {
             self.tick_dirty = true;
         }
         match ev {
-            Event::TaskFinish {
-                task,
-                exec,
-                attempt,
-            } => {
-                if self.cancelled.remove(&(task, attempt)) {
-                    return; // loser attempt already torn down
+            Event::TaskFinish { task, attempt } => {
+                if let Some(ra) = self.take_live(task, attempt) {
+                    self.finish_task(task, attempt, ra, sched);
                 }
-                if self.task_done[task.stage.index()][task.index as usize] {
-                    return; // stale (shouldn't occur; defensive)
-                }
-                self.finish_task(task, exec, attempt, sched);
             }
-            Event::IoDone {
-                task,
-                exec,
-                attempt,
-            } => {
+            Event::IoDone { task, attempt } => {
                 if let Some(ra) = self.running.get_mut(&(task, attempt)) {
                     if !ra.cpu_phase {
                         ra.cpu_phase = true;
-                        let cpus = ra.demand.cpus;
+                        let (exec, cpus) = (ra.exec, ra.demand.cpus);
                         self.enter_cpu_phase(exec, cpus);
                     }
                 }
@@ -540,15 +538,11 @@ impl Simulation {
                     }
                 }
             }
-            Event::TaskFail {
-                task,
-                exec,
-                attempt,
-            } => {
-                if self.cancelled.remove(&(task, attempt)) {
-                    return; // attempt already torn down (lost race / crash)
-                }
-                self.fail_attempt(task, exec, attempt, true, sched);
+            Event::TaskFail { task, attempt } => {
+                let Some(ra) = self.take_live(task, attempt) else {
+                    return;
+                };
+                self.fail_attempt(task, attempt, ra, AttemptEnd::Failed, sched);
                 // The requeued task may need a block an *earlier* fault
                 // destroyed (it had already read it when the fault hit);
                 // re-close the lineage worklist before it can relaunch.
@@ -560,6 +554,19 @@ impl Simulation {
             Event::ExecRestart { exec } => self.exec_restart(exec),
             Event::BlockLoss { block, exec } => self.block_loss(block, exec, sched),
         }
+    }
+
+    /// Pop attempt `(task, attempt)` if it is still live. `None` means its
+    /// event is stale: the attempt already lost a race or died in a crash
+    /// (ids are never reissued, so no relaunch can answer to the key).
+    fn take_live(&mut self, task: TaskId, attempt: u32) -> Option<RunningAttempt> {
+        let ra = self.running.remove(&(task, attempt));
+        debug_assert!(
+            ra.is_some()
+                || attempt < self.tasks[task.stage.index()][task.index as usize].next_attempt,
+            "event for attempt {attempt} of {task}, which was never issued"
+        );
+        ra
     }
 
     // ------------------------------------------------------------------
@@ -603,6 +610,10 @@ impl Simulation {
                 "locality index drifted from from-scratch rebuild (stage {s})"
             );
         }
+        debug_assert!(
+            self.check_tasks(),
+            "task table drifted from the running attempts"
+        );
         #[cfg(debug_assertions)]
         if let Some(jobs) = self.jobs.as_ref() {
             // Rebuild the per-tenant cores ledger from the authoritative
@@ -839,13 +850,11 @@ impl Simulation {
         // doomed; `None` whenever faults are disabled.
         let doom = self.faults.roll_task_failure();
 
-        // Monotone per-task attempt ids: a retried task's fresh attempt
-        // can never collide with a stale `cancelled` entry. Fault-free
-        // runs produce exactly the old numbering (0 primary,
-        // 1 speculative).
-        let seq = &mut self.attempt_seq[a.stage.index()][a.task_index as usize];
-        let attempt = *seq;
-        *seq += 1;
+        // Monotone per-task attempt ids: a stale event of a dead attempt
+        // never matches a relaunch.
+        let row = &mut self.tasks[a.stage.index()][a.task_index as usize];
+        let attempt = row.next_attempt;
+        row.next_attempt += 1;
         self.running.insert(
             (task, attempt),
             RunningAttempt {
@@ -868,14 +877,8 @@ impl Simulation {
         if io_phase_ms == 0 {
             self.enter_cpu_phase(exec, demand.cpus);
         } else {
-            self.queue.push(
-                self.now + io_phase_ms,
-                Event::IoDone {
-                    task,
-                    exec,
-                    attempt,
-                },
-            );
+            self.queue
+                .push(self.now + io_phase_ms, Event::IoDone { task, attempt });
         }
         let sm = &mut self.metrics.per_stage[a.stage.index()];
         sm.first_launch.get_or_insert(self.now);
@@ -897,20 +900,12 @@ impl Simulation {
             let fail_cpu = ((cpu_phase_ms as f64 * frac).round() as SimTime).clamp(1, cpu_phase_ms);
             self.queue.push(
                 self.now + io_phase_ms + fail_cpu,
-                Event::TaskFail {
-                    task,
-                    exec,
-                    attempt,
-                },
+                Event::TaskFail { task, attempt },
             );
         } else {
             self.queue.push(
                 self.now + io_phase_ms + cpu_phase_ms,
-                Event::TaskFinish {
-                    task,
-                    exec,
-                    attempt,
-                },
+                Event::TaskFinish { task, attempt },
             );
         }
 
@@ -933,23 +928,19 @@ impl Simulation {
         }
     }
 
-    fn finish_task(&mut self, task: TaskId, exec: ExecId, attempt: u32, sched: &mut dyn Scheduler) {
-        let ra = self
-            .running
-            .remove(&(task, attempt))
-            .expect("finish event for unknown attempt");
-        self.teardown_attempt(task, &ra, exec);
+    /// Settle the winning attempt `ra` (already popped from `running`):
+    /// end every other attempt of the task as a lost race, mark the task
+    /// done and materialize its output.
+    fn finish_task(
+        &mut self,
+        task: TaskId,
+        attempt: u32,
+        ra: RunningAttempt,
+        sched: &mut dyn Scheduler,
+    ) {
+        let exec = ra.exec;
+        self.end_attempt(task, attempt, &ra, AttemptEnd::Won);
         let dur = self.now - ra.start;
-        self.metrics.task_runs.push(TaskRun {
-            task,
-            exec,
-            start: ra.start,
-            end: self.now,
-            locality: ra.locality,
-            speculative: ra.speculative,
-            winner: true,
-            failed: false,
-        });
         // A success breaks the executor's consecutive-failure streak.
         self.faults.consec_failures[exec.index()] = 0;
         let sm = &mut self.metrics.per_stage[task.stage.index()];
@@ -962,51 +953,21 @@ impl Simulation {
         if ra.speculative {
             self.metrics.speculative_won += 1;
         }
-        if self.trace_on {
-            self.trace(TraceEvent::TaskFinish {
-                task,
-                attempt,
-                exec: exec.0,
-                locality: ra.locality.rank(),
-            });
-        }
 
-        // Cancel every losing attempt still in flight (under retries the
-        // other attempt's id is not simply `1 - attempt`; scan the task's
+        // End every losing attempt still in flight (under retries the
+        // other attempt's id is not simply `1 - attempt`; take the task's
         // key range instead).
-        let losers: Vec<u32> = self
+        let losers: Vec<_> = self
             .running
-            .range((task, 0)..=(task, u32::MAX))
-            .map(|((_, a2), _)| *a2)
+            .extract_if((task, 0)..=(task, u32::MAX), |_, _| true)
             .collect();
-        for other in losers {
-            let loser = self.running.remove(&(task, other)).unwrap();
-            let lexec = loser.exec;
-            self.teardown_attempt(task, &loser, lexec);
-            self.cancelled.insert((task, other));
-            self.metrics.task_runs.push(TaskRun {
-                task,
-                exec: lexec,
-                start: loser.start,
-                end: self.now,
-                locality: loser.locality,
-                speculative: loser.speculative,
-                winner: false,
-                failed: false,
-            });
-            if self.trace_on {
-                self.trace(TraceEvent::TaskKilled {
-                    task,
-                    attempt: other,
-                    exec: lexec.0,
-                    reason: KillReason::LostRace,
-                });
-            }
+        for ((_, other), loser) in losers {
+            self.end_attempt(task, other, &loser, AttemptEnd::LostRace);
         }
 
-        self.task_done[task.stage.index()][task.index as usize] = true;
+        self.tasks[task.stage.index()][task.index as usize].done = true;
         let srt = &mut self.stages[task.stage.index()];
-        srt.running = srt.running.saturating_sub(1);
+        srt.running -= 1;
         srt.finished += 1;
         let stage_complete = srt.finished == self.dag.stage(task.stage).num_tasks;
 
@@ -1102,7 +1063,11 @@ impl Simulation {
         self.profile.set_frontier(frontier);
     }
 
-    fn teardown_attempt(&mut self, task: TaskId, ra: &RunningAttempt, exec: ExecId) {
+    /// The one path every live attempt ends through, after its caller
+    /// popped it from `running`: release its cores, cpu phase and pins,
+    /// log its [`TaskRun`], then trace how it ended.
+    fn end_attempt(&mut self, task: TaskId, attempt: u32, ra: &RunningAttempt, end: AttemptEnd) {
+        let exec = ra.exec;
         self.cview.apply(ViewDelta::Release {
             exec,
             demand: ra.demand,
@@ -1120,6 +1085,44 @@ impl Simulation {
         self.metrics.running_tasks.add(self.now, -1.0);
         for b in &ra.pinned {
             self.bms[exec.index()].unpin(*b);
+        }
+        self.metrics.task_runs.push(TaskRun {
+            task,
+            exec,
+            start: ra.start,
+            end: self.now,
+            locality: ra.locality,
+            speculative: ra.speculative,
+            winner: end == AttemptEnd::Won,
+            failed: matches!(end, AttemptEnd::Failed | AttemptEnd::Killed),
+        });
+        if self.trace_on {
+            let exec = exec.0;
+            self.trace(match end {
+                AttemptEnd::Won => TraceEvent::TaskFinish {
+                    task,
+                    attempt,
+                    exec,
+                    locality: ra.locality.rank(),
+                },
+                AttemptEnd::LostRace => TraceEvent::TaskKilled {
+                    task,
+                    attempt,
+                    exec,
+                    reason: KillReason::LostRace,
+                },
+                AttemptEnd::Failed => TraceEvent::TaskFail {
+                    task,
+                    attempt,
+                    exec,
+                },
+                AttemptEnd::Killed => TraceEvent::TaskKilled {
+                    task,
+                    attempt,
+                    exec,
+                    reason: KillReason::ExecCrash,
+                },
+            });
         }
     }
 
@@ -1275,15 +1278,15 @@ impl Simulation {
     /// may sit on.
     fn proactive_drops(&mut self) {
         let mut victims = std::mem::take(&mut self.drop_victims);
-        let (task_inputs, task_done) = (&self.task_inputs, &self.task_done);
+        let (task_inputs, tasks) = (&self.task_inputs, &self.tasks);
         let data = &self.data;
         self.drop_pass.run(
             &mut self.bms,
             &mut self.profile,
             |s, out| {
                 let si = s.index();
-                for (inputs, &done) in task_inputs[si].iter().zip(&task_done[si]) {
-                    if !done {
+                for (inputs, row) in task_inputs[si].iter().zip(&tasks[si]) {
+                    if !row.done {
                         out.extend(inputs.iter().map(|&(b, _)| b));
                     }
                 }
@@ -1329,6 +1332,33 @@ impl Simulation {
             .iter()
             .copied()
             .find(|b| self.dag.rdd(b.rdd).block_mb <= free)
+    }
+
+    /// Oracle for the task table against `running` and the stage table:
+    /// every live attempt was issued and belongs to a task that is neither
+    /// done nor pending (so a done task has no live attempt), and each
+    /// stage's `running` counts its tasks with a live attempt.
+    fn check_tasks(&self) -> bool {
+        let mut live = vec![0u32; self.stages.len()];
+        let mut prev = None;
+        for &(task, attempt) in self.running.keys() {
+            let si = task.stage.index();
+            let row = &self.tasks[si][task.index as usize];
+            if attempt >= row.next_attempt
+                || row.done
+                || self.stages[si].pending.contains(task.index)
+            {
+                return false;
+            }
+            if prev != Some(task) {
+                live[si] += 1;
+                prev = Some(task);
+            }
+        }
+        self.stages
+            .iter()
+            .zip(&live)
+            .all(|(st, &n)| st.running == n)
     }
 
     /// Oracle for a tick that took `tick_dirty` clear: no drop change or
@@ -1489,7 +1519,7 @@ impl Simulation {
 
     fn speculation_check(&mut self) {
         let spec = self.cfg.speculation.unwrap();
-        let mut to_launch: Vec<(TaskId, Assignment)> = Vec::new();
+        let mut to_launch: Vec<Assignment> = Vec::new();
         // `running` is keyed `(TaskId, attempt)` and `TaskId` orders
         // stage-first, so the running stages come out in stage order by
         // range jumps, each with its attempts in (task index, attempt)
@@ -1524,12 +1554,9 @@ impl Simulation {
             let attempts = self.running.range((TaskId::new(s, 0), 0)..=last);
             for ((task, _), ra) in attempts.filter(|(_, ra)| !ra.speculative) {
                 let task = *task;
-                if self.spec_launched.contains(&task)
-                    || self.task_done[s.index()][task.index as usize]
+                if self.tasks[s.index()][task.index as usize].speculated
+                    || (self.now - ra.start) as f64 <= threshold
                 {
-                    continue;
-                }
-                if (self.now - ra.start) as f64 <= threshold {
                     continue;
                 }
                 // Pick the best-locality executor with room, excluding the
@@ -1552,19 +1579,16 @@ impl Simulation {
                     }
                 }
                 if let Some((l, _, exec)) = best {
-                    to_launch.push((
-                        task,
-                        Assignment {
-                            stage: s,
-                            task_index: task.index,
-                            exec,
-                            locality: l,
-                        },
-                    ));
+                    to_launch.push(Assignment {
+                        stage: s,
+                        task_index: task.index,
+                        exec,
+                        locality: l,
+                    });
                 }
             }
         }
-        for (task, a) in to_launch {
+        for a in to_launch {
             // Candidates were collected against a snapshot of `exec_free`;
             // earlier launches in this very loop may have consumed the last
             // slot. Fault-free lineups keep the historical (golden-pinned)
@@ -1581,7 +1605,7 @@ impl Simulation {
             {
                 continue;
             }
-            self.spec_launched.insert(task);
+            self.tasks[a.stage.index()][a.task_index as usize].speculated = true;
             // Speculative launches bypass the scheduler; a no-op scheduler
             // reference is not available here, so use a tiny shim.
             struct Nop;
@@ -1601,60 +1625,30 @@ impl Simulation {
     // Fault injection & recovery
     // ------------------------------------------------------------------
 
-    /// Tear down a live attempt that died — an injected task failure when
-    /// `blame`, an executor crash otherwise — and re-offer the task to the
-    /// scheduler unless another attempt of it survives. The caller
-    /// swallows the attempt's still-queued events (`TaskFail` pops its own
-    /// key; crashes insert victims into `cancelled`).
+    /// End a live attempt that died (`Failed`: an injected task failure;
+    /// `Killed`: an executor crash), already popped from `running`, and
+    /// re-offer the task to the scheduler unless another attempt of it
+    /// survives.
     fn fail_attempt(
         &mut self,
         task: TaskId,
-        exec: ExecId,
         attempt: u32,
-        blame: bool,
+        ra: RunningAttempt,
+        end: AttemptEnd,
         sched: &mut dyn Scheduler,
     ) {
-        let Some(ra) = self.running.remove(&(task, attempt)) else {
-            return;
-        };
-        self.teardown_attempt(task, &ra, exec);
-        self.metrics.task_runs.push(TaskRun {
-            task,
-            exec,
-            start: ra.start,
-            end: self.now,
-            locality: ra.locality,
-            speculative: ra.speculative,
-            winner: false,
-            failed: true,
-        });
-        if self.trace_on {
-            if blame {
-                self.trace(TraceEvent::TaskFail {
-                    task,
-                    attempt,
-                    exec: exec.0,
-                });
-            } else {
-                self.trace(TraceEvent::TaskKilled {
-                    task,
-                    attempt,
-                    exec: exec.0,
-                    reason: KillReason::ExecCrash,
-                });
-            }
-        }
-        if blame {
+        let exec = ra.exec;
+        self.end_attempt(task, attempt, &ra, end);
+        if end == AttemptEnd::Failed {
             self.metrics.faults.task_failures += 1;
             // Bounded retry (spark.task.maxFailures): executor-loss kills
             // are the machine's fault and don't count against the task.
-            let (si, ki) = (task.stage.index(), task.index as usize);
-            self.retries[si][ki] += 1;
-            let max = self.faults.max_task_retries();
-            if self.retries[si][ki] > max {
+            let row = &mut self.tasks[task.stage.index()][task.index as usize];
+            row.retries += 1;
+            let (retries, max) = (row.retries, self.faults.max_task_retries());
+            if retries > max {
                 panic!(
-                    "job aborted: task {task} failed {} times (max_task_retries = {max})",
-                    self.retries[si][ki]
+                    "job aborted: task {task} failed {retries} times (max_task_retries = {max})"
                 );
             }
             // Consecutive failures blacklist the executor — but never the
@@ -1694,19 +1688,19 @@ impl Simulation {
     /// and restore its work to the scheduler-side accounting.
     fn requeue_task(&mut self, task: TaskId, sched: &mut dyn Scheduler) {
         let srt = &mut self.stages[task.stage.index()];
-        if !srt.pending.insert(task.index) {
-            return; // already pending (both attempts died in one crash)
-        }
+        // A task with a live attempt is never pending (`check_tasks`).
+        let requeued = srt.pending.insert(task.index);
+        debug_assert!(requeued, "{task} was pending with a live attempt");
         // One in-flight slot was accounted for this task (the primary's,
         // inherited by the speculative copy if the primary died first).
-        srt.running = srt.running.saturating_sub(1);
+        srt.running -= 1;
         sync_ready(
             &mut self.cview,
             &mut self.data,
             &self.stages,
             task.stage.index(),
         );
-        self.spec_launched.remove(&task);
+        self.tasks[task.stage.index()][task.index as usize].speculated = false;
         let work = self.dag.stage(task.stage).task_work(task.index);
         self.tracker.on_task_requeued(task, work);
         sched.on_task_requeued(task, work, self.now);
@@ -1733,19 +1727,14 @@ impl Simulation {
         if self.trace_on {
             self.trace(TraceEvent::ExecCrash { exec: exec.0 });
         }
-        // 1. Every attempt running there dies. BTreeMap iteration gives a
-        //    deterministic kill order; victims' queued finish/fail events
-        //    are swallowed via `cancelled` (attempt ids never recur, so a
-        //    stale entry can't shadow a relaunch).
-        let victims: Vec<(TaskId, u32)> = self
+        // 1. Every attempt running there dies, in key order. Leaving
+        //    `running` makes their queued finish/fail events stale.
+        let victims: Vec<_> = self
             .running
-            .iter()
-            .filter(|(_, ra)| ra.exec == exec)
-            .map(|(k, _)| *k)
+            .extract_if(.., |_, ra| ra.exec == exec)
             .collect();
-        for (task, attempt) in victims {
-            self.fail_attempt(task, exec, attempt, false, sched);
-            self.cancelled.insert((task, attempt));
+        for ((task, attempt), ra) in victims {
+            self.fail_attempt(task, attempt, ra, AttemptEnd::Killed, sched);
         }
         // 2. The executor's cache dies with it.
         let lost = self.bms[i].crash_clear();
@@ -1857,7 +1846,7 @@ impl Simulation {
                 if !queued.insert(pt) {
                     continue;
                 }
-                if self.task_done[ps.index()][pk as usize] {
+                if self.tasks[ps.index()][pk as usize].done {
                     self.resubmit_task(ps, pk, sched);
                     resubmitted = true;
                     check.push((ps.index(), pk));
@@ -1879,11 +1868,11 @@ impl Simulation {
     /// the scheduler runs it again.
     fn resubmit_task(&mut self, ps: StageId, k: u32, sched: &mut dyn Scheduler) {
         let si = ps.index();
-        debug_assert!(self.task_done[si][k as usize]);
+        debug_assert!(self.tasks[si][k as usize].done);
         // Reached from `drain_lost_pending` after a tick's own speculative
         // launch evicted a lost block: the profile moves with no event.
         self.tick_dirty = true;
-        self.task_done[si][k as usize] = false;
+        self.tasks[si][k as usize].done = false;
         self.stages[si].finished -= 1;
         self.metrics.faults.tasks_recomputed += 1;
         if self.trace_on {

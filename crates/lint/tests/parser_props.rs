@@ -67,13 +67,18 @@ fn soup(seed: u64, n: usize) -> String {
     };
     let mut src = String::new();
     for _ in 0..n {
-        src.push_str(FRAGMENTS[(step() as usize) % FRAGMENTS.len()]);
+        src.push_str(FRAGMENTS[below(step(), FRAGMENTS.len())]);
     }
     // One run in four ends mid-construct.
     if step() % 4 == 0 {
-        src.push_str(TAILS[(step() as usize) % TAILS.len()]);
+        src.push_str(TAILS[below(step(), TAILS.len())]);
     }
     src
+}
+
+/// An index below `len` from one splitmix64 draw.
+fn below(r: u64, len: usize) -> usize {
+    usize::try_from(r % len as u64).expect("a remainder below a usize fits one")
 }
 
 /// The byte the token claims to start at, resolved through its 1-based

@@ -123,6 +123,22 @@ fn check_invariants(
         ));
     }
 
+    // 6. Every attempt ends exactly once: one `TaskRun` per launch. A
+    //    stale finish or fail event that acted on a dead attempt would
+    //    log a second run for it.
+    let launches: u64 = m
+        .per_stage
+        .iter()
+        .flat_map(|s| s.launches_by_locality)
+        .map(u64::from)
+        .sum();
+    if launches != m.task_runs.len() as u64 {
+        errs.push(format!(
+            "{launches} launches != {} task runs",
+            m.task_runs.len()
+        ));
+    }
+
     if errs.is_empty() {
         Ok(())
     } else {

@@ -1,7 +1,7 @@
 //! Bit-level determinism: running the same configuration twice must
 //! produce identical results — fault-free *and* under an armed fault plan.
 //! The simulator's only remaining hash containers are membership-only
-//! (`cancelled`, `spec_launched`, `prefetched`); everything iterated for
+//! (`prefetched` and lineage recovery's dedup guard); everything iterated for
 //! decisions (the running-attempt table, pending sets, locality index) has
 //! deterministic order by construction, and this test is the tripwire for
 //! any future leak.

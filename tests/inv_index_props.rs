@@ -426,7 +426,8 @@ proptest! {
             for s in live_stages(&f) {
                 let best: Vec<Locality> =
                     levels[s].iter().map(|l| *l.iter().min().unwrap()).collect();
-                for e in 0..f.topo.num_execs() {
+                for ex in (0..f.topo.num_execs() as u32).map(ExecId) {
+                    let e = ex.index();
                     for level in Locality::ALL {
                         let (mut cnt, mut scnt) = (0u32, 0u32);
                         for k in f.pending[s].iter() {
@@ -435,7 +436,6 @@ proptest! {
                                 scnt += u32::from(best[k as usize] == level);
                             }
                         }
-                        let ex = ExecId(e as u32);
                         prop_assert_eq!(
                             probe_count(&f, s, ex, level, false), cnt,
                             "count drift at stage {} exec {} level {:?}", s, e, level
@@ -469,8 +469,8 @@ proptest! {
                 let claimed = claims_of(&f, s, *draw);
                 let best: Vec<Locality> =
                     levels[s].iter().map(|l| *l.iter().min().unwrap()).collect();
-                for e in 0..f.topo.num_execs() {
-                    let ex = ExecId(e as u32);
+                for ex in (0..f.topo.num_execs() as u32).map(ExecId) {
+                    let e = ex.index();
                     for level in Locality::ALL {
                         for strict in [false, true] {
                             let first = |claimed: &[u64]| {

@@ -34,6 +34,17 @@ fn traced_cc_quick() -> (dagon_core::RunOutcome, TraceMeta) {
     (out, meta)
 }
 
+/// A JSON number that must be a count: a non-negative integer that f64
+/// represents exactly.
+#[allow(clippy::cast_possible_truncation)] // integral and below 2^53, checked first
+fn count(x: f64) -> u64 {
+    assert!(
+        (0.0..9_007_199_254_740_992.0).contains(&x) && x.fract() == 0.0,
+        "{x} is not a count"
+    );
+    x as u64
+}
+
 #[test]
 fn chrome_trace_is_schema_valid_and_consistent() {
     let (out, meta) = traced_cc_quick();
@@ -70,7 +81,7 @@ fn chrome_trace_is_schema_valid_and_consistent() {
                 assert!(args.get("stage").and_then(Value::as_str).is_some());
                 assert!(args.get("outcome").and_then(Value::as_str).is_some());
                 lanes
-                    .entry((pid as u64, tid as u64))
+                    .entry((count(pid), count(tid)))
                     .or_default()
                     .push((ts, ts + dur));
             }
@@ -128,11 +139,11 @@ fn stage_timeline_and_summary_parse_and_cross_check() {
         .and_then(|t| t.get("recorded"))
         .and_then(Value::as_f64)
         .unwrap();
-    assert_eq!(recorded as usize, out.result.trace.len());
+    assert_eq!(count(recorded), out.result.trace.len() as u64);
     // Event kind counts must sum back to the record count.
     let kinds = top.get("events").and_then(Value::as_obj).unwrap();
     let total: f64 = kinds.values().filter_map(Value::as_f64).sum();
-    assert_eq!(total as usize, out.result.trace.len());
+    assert_eq!(count(total), out.result.trace.len() as u64);
 }
 
 /// The registry key set is part of the subsystem's interface: dashboards
@@ -195,13 +206,13 @@ fn metrics_registry_snapshot_on_paper_scale_run() {
     let doc = parse(&registry.to_json()).expect("registry json parses");
     let obj = doc.as_obj().unwrap();
     let num = |k: &str| obj.get(k).and_then(Value::as_f64).unwrap();
-    assert_eq!(num("cache/hits") as u64, out.result.metrics.cache.hits);
-    assert_eq!(num("run/jct_ms") as u64, out.result.jct);
+    assert_eq!(count(num("cache/hits")), out.result.metrics.cache.hits);
+    assert_eq!(count(num("run/jct_ms")), out.result.jct);
     assert!((0.0..=1.0).contains(&num("cache/hit_ratio")));
     assert!((0.0..=1.0).contains(&num("run/cpu_utilization")));
     // The incremental ready list must never be rebuilt after startup.
     assert_eq!(
-        num("sched/ready_list_rebuilds") as u64,
+        count(num("sched/ready_list_rebuilds")),
         1,
         "ready list rebuilt mid-run"
     );
@@ -209,7 +220,7 @@ fn metrics_registry_snapshot_on_paper_scale_run() {
     // startup, incrementally maintained ever after — and it must actually
     // answer placement probes at paper scale (a miss is `inv_index_hits`).
     assert_eq!(
-        num("sched/inv_index_rebuilds") as u64,
+        count(num("sched/inv_index_rebuilds")),
         1,
         "inverted locality index rebuilt mid-run"
     );
@@ -237,7 +248,7 @@ fn metrics_registry_snapshot_on_paper_scale_run() {
         .filter(|t| t.winner)
         .count();
     assert_eq!(
-        hist.get("total").and_then(Value::as_f64).unwrap() as usize,
-        winners
+        count(hist.get("total").and_then(Value::as_f64).unwrap()),
+        winners as u64
     );
 }

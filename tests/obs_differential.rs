@@ -180,6 +180,7 @@ fn bounded_recorder_keeps_the_tail() {
     assert_eq!(bounded.result.trace.dropped, total - 100);
     // The ring keeps the most recent events: its records are the tail of
     // the unbounded run's log.
-    let tail = &full.result.trace.records[(total - 100) as usize..];
+    let skip = usize::try_from(total - 100).expect("the log fits in memory");
+    let tail = &full.result.trace.records[skip..];
     assert_eq!(bounded.result.trace.records, tail);
 }
