@@ -286,6 +286,14 @@ pub struct Metrics {
     pub exec_traces: Vec<ExecTrace>,
     pub speculative_launched: u32,
     pub speculative_won: u32,
+    /// `(stage, pv)` pairs pushed into the reference profile: the stages
+    /// each launch or requeue moved, plus every stage on the first sync
+    /// (DESIGN.md §32). Registry key `sched/priority_pushes`. Not in
+    /// [`SchedulerStats`]: a scheduler without its own
+    /// `drain_stage_priorities` (such as a timing decorator) pushes full
+    /// snapshots, and [`SchedulerStats`] must read the same with or
+    /// without such a wrapper.
+    pub priority_pushes: u64,
     /// Scheduling fast-path overhead counters.
     pub sched: SchedulerStats,
     /// Fault-injection and recovery counters.
@@ -308,6 +316,7 @@ impl Metrics {
             },
             speculative_launched: 0,
             speculative_won: 0,
+            priority_pushes: 0,
             sched: SchedulerStats::default(),
             faults: FaultStats::default(),
         }
@@ -441,6 +450,7 @@ impl SimResult {
         r.counter("sched/inv_index_hits", s.inv_index_hits);
         r.counter("sched/inv_index_updates", s.inv_index_updates);
         r.counter("sched/inv_index_rebuilds", s.inv_index_rebuilds);
+        r.counter("sched/priority_pushes", self.metrics.priority_pushes);
         let f = &self.metrics.faults;
         r.counter("faults/exec_crashes", f.exec_crashes);
         r.counter("faults/exec_restarts", f.exec_restarts);

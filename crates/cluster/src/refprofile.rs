@@ -84,6 +84,12 @@ impl RefProfile {
         *slot = pv;
     }
 
+    /// Stage `s`'s priority value as last set.
+    #[cfg(debug_assertions)]
+    pub(crate) fn pv(&self, s: StageId) -> u64 {
+        self.pv[s.index()]
+    }
+
     /// Move MRD's FIFO frontier.
     pub fn set_frontier(&mut self, frontier: u32) {
         self.frontier = frontier;

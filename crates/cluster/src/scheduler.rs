@@ -54,11 +54,33 @@ pub trait Scheduler {
     /// pending work from the view each call) can ignore this.
     fn on_task_requeued(&mut self, _t: TaskId, _work: u64, _now: SimTime) {}
 
-    /// Current stage priority values, if this scheduler maintains Eq. (6)
-    /// (the Dagon scheduler does; others return `None` and the master falls
-    /// back to its own ground-truth tracker).
+    /// Current stage priority values, all of them, if this scheduler
+    /// maintains Eq. (6) (the Dagon scheduler does; others return `None`
+    /// and the master falls back to its own ground-truth tracker). The
+    /// simulator reads priorities through
+    /// [`drain_stage_priorities`](Self::drain_stage_priorities), whose
+    /// default calls this; debug builds also check the reference profile
+    /// against it.
     fn stage_priorities(&self) -> Option<Vec<(StageId, u64)>> {
         None
+    }
+
+    /// Append the `(stage, pv)` pairs that changed since the last call to
+    /// `out` and return `true`, or return `false` (leaving `out` alone)
+    /// when this scheduler keeps no Eq. (6) priorities. The first call
+    /// reports every stage; a stage left out keeps its last reported
+    /// value. The simulator calls this after every confirmed launch and
+    /// requeue. The default extends `out` with the full
+    /// [`stage_priorities`](Self::stage_priorities) snapshot: correct, but
+    /// O(stages) per call (DESIGN.md §32).
+    fn drain_stage_priorities(&mut self, out: &mut Vec<(StageId, u64)>) -> bool {
+        match self.stage_priorities() {
+            Some(pvs) => {
+                out.extend(pvs);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Ask the scheduler to collect (or stop collecting) decision

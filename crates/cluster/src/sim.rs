@@ -110,6 +110,7 @@ enum AttemptEnd {
 // lint: incremental(jobs, mutators = [with_jobs, run, job_arrival, admit_job, reject_job, complete_stage, resubmit_task, launch, end_attempt], via = [on_arrival, admit_queued, on_stage_complete, on_stage_reopened, on_cores_consumed, on_cores_released], oracle = check_consistency)
 // lint: incremental(tick_dirty, mutators = [handle, launch, proactive_drops, resubmit_task], init = [new], oracle = check_quiet_tick)
 // lint: incremental(tasks, mutators = [launch, finish_task, fail_attempt, requeue_task, speculation_check, resubmit_task], init = [new], oracle = check_tasks)
+// lint: incremental(tracker, mutators = [launch, requeue_task, resubmit_task, sync_priorities], via = [on_task_launched, on_task_requeued, drain_changes], init = [new], oracle = check_priorities)
 pub struct Simulation {
     dag: JobDag,
     cfg: ClusterConfig,
@@ -139,7 +140,12 @@ pub struct Simulation {
     tasks: Vec<Vec<TaskRow>>,
     stage_durations: Vec<Vec<u64>>,
     profile: RefProfile,
+    /// Ground-truth Eq. (6) tracker: the profile's `pv` source when the
+    /// scheduler keeps none.
     tracker: PriorityTracker,
+    /// Reused `sync_priorities` buffer of changed `(stage, pv)` pairs,
+    /// sized up front for the first sync, which reports every stage.
+    pv_buf: Vec<(StageId, u64)>,
     queue: EventQueue,
     metrics: Metrics,
     now: SimTime,
@@ -255,6 +261,7 @@ impl Simulation {
             .collect();
         let stage_durations = vec![Vec::new(); dag.num_stages()];
         let tracker = PriorityTracker::from_dag(&dag);
+        let pv_buf = Vec::with_capacity(dag.num_stages());
         let mut profile = RefProfile::with_pv(dag.stage_ids().map(|s| tracker.pv(s)).collect());
         profile.rebuild(&dag, &|_, _| false, &|_| false);
         let metrics = Metrics::new(dag.num_stages(), n_exec, cfg.trace_executors);
@@ -289,6 +296,7 @@ impl Simulation {
             stage_durations,
             profile,
             tracker,
+            pv_buf,
             queue: EventQueue::new(),
             metrics,
             now: 0,
@@ -1031,22 +1039,39 @@ impl Simulation {
         }
     }
 
-    /// Mirror current stage priority values into the master's reference
-    /// profile: from the scheduler when it maintains Eq. (6) (the paper's
-    /// TaskScheduler feeds BlockManagerMaster), otherwise from the
-    /// ground-truth tracker.
+    /// Mirror the stage priority values that moved since the last sync
+    /// into the master's reference profile: from the scheduler when it
+    /// maintains Eq. (6) (the paper's TaskScheduler feeds
+    /// BlockManagerMaster), otherwise from the ground-truth tracker. Only
+    /// the changed pairs are pushed (DESIGN.md §32).
     fn sync_priorities(&mut self, sched: &mut dyn Scheduler) {
+        let mut pvs = std::mem::take(&mut self.pv_buf);
+        if !sched.drain_stage_priorities(&mut pvs) {
+            self.tracker.drain_changes(&mut pvs);
+        }
+        self.metrics.priority_pushes += pvs.len() as u64;
+        for &(s, pv) in &pvs {
+            self.profile.set_pv(s, pv);
+        }
+        pvs.clear();
+        self.pv_buf = pvs;
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            self.check_priorities(sched),
+            "reference profile pv diverged from its source"
+        );
+    }
+
+    /// Oracle for `sync_priorities`: every stage's profile `pv` equals its
+    /// full source value, the scheduler's snapshot or else the tracker's.
+    #[cfg(debug_assertions)]
+    fn check_priorities(&self, sched: &dyn Scheduler) -> bool {
         match sched.stage_priorities() {
-            Some(pvs) => {
-                for (s, pv) in pvs {
-                    self.profile.set_pv(s, pv);
-                }
-            }
-            None => {
-                for s in self.dag.stage_ids() {
-                    self.profile.set_pv(s, self.tracker.pv(s));
-                }
-            }
+            Some(pvs) => pvs.into_iter().all(|(s, pv)| self.profile.pv(s) == pv),
+            None => self
+                .dag
+                .stage_ids()
+                .all(|s| self.profile.pv(s) == self.tracker.pv(s)),
         }
     }
 

@@ -11,6 +11,11 @@
 //! moment the first stage-2 task is assigned — so [`PriorityTracker`]
 //! mirrors exactly that bookkeeping and is shared by the Dagon scheduler
 //! (Alg. 1) and the LRP cache (Def. 1).
+//!
+//! A launch or requeue moves `pv` only for its stage and that stage's
+//! ancestors, so the tracker also records which stages it touched since
+//! the last [`PriorityTracker::drain_changes`]: a consumer mirroring `pv`
+//! (the reference profile) pushes only those (DESIGN.md §32).
 
 // StageId mints from enumerate(): bounded by DAG size.
 #![allow(clippy::cast_possible_truncation)]
@@ -35,6 +40,8 @@ pub struct Work {
 /// noisy estimates — the tracker doesn't care, it just maintains Eq. (6)
 /// under task-launch decrements and supports O(ancestors) incremental
 /// updates.
+// lint: incremental(pv, mutators = [on_task_launched, on_task_requeued], init = [new], oracle = check_dirty)
+// lint: incremental(dirty, mutators = [on_task_launched, on_task_requeued, drain_changes], init = [new], oracle = check_dirty)
 #[derive(Clone, Debug)]
 pub struct PriorityTracker {
     work: Vec<Work>,
@@ -43,6 +50,20 @@ pub struct PriorityTracker {
     /// Ancestor closure: launching a task of stage j changes pv_i for every
     /// i with j ∈ succ*(i), i.e. every ancestor of j (plus j itself).
     ancestors: Closure,
+    /// Bitset over stages: those whose `pv` a launch or requeue touched
+    /// since the last [`drain_changes`](Self::drain_changes). Starts full,
+    /// so the first drain reports every stage.
+    dirty: Vec<u64>,
+    /// Each stage's `pv` as of the drain that last reported it: the
+    /// mirror `check_dirty` holds clean stages to.
+    #[cfg(debug_assertions)]
+    drained: Vec<u64>,
+}
+
+/// Mark stage `s` in the bitset `dirty`.
+#[inline]
+fn mark(dirty: &mut [u64], s: StageId) {
+    dirty[s.index() / 64] |= 1 << (s.index() % 64);
 }
 
 impl PriorityTracker {
@@ -68,10 +89,17 @@ impl PriorityTracker {
                     .sum::<u64>();
         }
         let ancestors = Closure::ancestors(dag);
+        let mut dirty = vec![0u64; n.div_ceil(64)];
+        for s in dag.stage_ids() {
+            mark(&mut dirty, s);
+        }
         Self {
             work,
             pv,
             ancestors,
+            dirty,
+            #[cfg(debug_assertions)]
+            drained: vec![0; n],
         }
     }
 
@@ -101,6 +129,35 @@ impl PriorityTracker {
             .collect()
     }
 
+    /// Append the `(stage, pv)` pair of every stage a launch or requeue
+    /// touched since the last drain to `out`, in ascending stage order,
+    /// and forget them. The first drain reports every stage. A stage
+    /// left out keeps the `pv` an earlier drain reported.
+    pub fn drain_changes(&mut self, out: &mut Vec<(StageId, u64)>) {
+        #[cfg(debug_assertions)]
+        debug_assert!(self.check_dirty(), "a pv moved without a dirty mark");
+        for (k, w) in self.dirty.iter_mut().enumerate() {
+            let mut bits = std::mem::take(w);
+            while bits != 0 {
+                let i = k * 64 + bits.trailing_zeros() as usize;
+                out.push((StageId(i as u32), self.pv[i]));
+                #[cfg(debug_assertions)]
+                {
+                    self.drained[i] = self.pv[i];
+                }
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// Oracle: every stage outside the dirty set still has the `pv` its
+    /// last drain reported.
+    #[cfg(debug_assertions)]
+    fn check_dirty(&self) -> bool {
+        (0..self.pv.len())
+            .all(|i| (self.dirty[i / 64] >> (i % 64)) & 1 == 1 || self.pv[i] == self.drained[i])
+    }
+
     /// Record that `task` was launched, consuming `work` vCPU-ms from its
     /// stage. Decrements `w_stage` and the pv of the stage and all its
     /// ancestors (Table III's per-step update).
@@ -109,8 +166,10 @@ impl PriorityTracker {
         let delta = work.min(self.work[s.index()].remaining);
         self.work[s.index()].remaining -= delta;
         self.pv[s.index()] = self.pv[s.index()].saturating_sub(delta);
+        mark(&mut self.dirty, s);
         for a in self.ancestors.members(s) {
             self.pv[a.index()] = self.pv[a.index()].saturating_sub(delta);
+            mark(&mut self.dirty, a);
         }
     }
 
@@ -121,8 +180,10 @@ impl PriorityTracker {
         self.work[s.index()].remaining =
             (self.work[s.index()].remaining + work).min(self.work[s.index()].initial);
         self.pv[s.index()] += work;
+        mark(&mut self.dirty, s);
         for a in self.ancestors.members(s) {
             self.pv[a.index()] += work;
+            mark(&mut self.dirty, a);
         }
     }
 }

@@ -10,7 +10,12 @@ use dagon_dag::{PriorityTracker, StageId, TaskId};
 use proptest::prelude::*;
 
 fn params() -> impl Strategy<Value = (GenParams, u64)> {
-    (2usize..30, 1usize..4, 0.0f64..1.0, any::<u64>()).prop_map(
+    params_in(2..30)
+}
+
+/// Random generator parameters with a stage count drawn from `stages`.
+fn params_in(stages: std::ops::Range<usize>) -> impl Strategy<Value = (GenParams, u64)> {
+    (stages, 1usize..4, 0.0f64..1.0, any::<u64>()).prop_map(
         |(stages, max_parents, wide_prob, seed)| {
             (
                 GenParams {
@@ -84,6 +89,52 @@ proptest! {
             let expect: u64 = tracker.remaining_work(i)
                 + closure.members(i).map(|j| tracker.remaining_work(j)).sum::<u64>();
             prop_assert_eq!(tracker.pv(i), expect, "stage {}", i);
+        }
+    }
+
+    /// The change stream: a mirror updated only from `drain_changes`
+    /// equals `snapshot()` after every drain, over random interleavings
+    /// of launches, requeues and drains. DAGs reach 149 stages so the
+    /// dirty bitset spans several words. The first drain reports
+    /// every stage; every drain is ascending with no repeats.
+    #[test]
+    fn drained_pv_mirror_matches_snapshot(
+        (p, seed) in params_in(2..150),
+        ops in proptest::collection::vec((0u8..3, any::<u32>(), any::<u32>()), 0..120),
+    ) {
+        let dag = random_dag(&p, seed);
+        let n = dag.num_stages();
+        let mut tracker = PriorityTracker::from_dag(&dag);
+        let mut mirror = vec![None; n];
+        let mut out = Vec::new();
+        let mut drains = 0usize;
+        // Every run ends with a drain so the last moves are checked too.
+        for &(op, a, b) in ops.iter().chain(std::iter::once(&(2, 0, 0))) {
+            let stage = StageId(a % n as u32);
+            let st = dag.stage(stage);
+            let task = TaskId::new(stage, b % st.num_tasks);
+            match op {
+                0 => tracker.on_task_launched(task, st.task_work(task.index)),
+                1 => tracker.on_task_requeued(task, st.task_work(task.index)),
+                _ => {
+                    out.clear();
+                    tracker.drain_changes(&mut out);
+                    prop_assert!(
+                        out.windows(2).all(|w| w[0].0 < w[1].0),
+                        "drain not ascending and unique: {:?}", out
+                    );
+                    if drains == 0 {
+                        prop_assert_eq!(out.len(), n, "first drain must report every stage");
+                    }
+                    drains += 1;
+                    for &(s, pv) in &out {
+                        mirror[s.index()] = Some(pv);
+                    }
+                    let snap: Vec<Option<u64>> =
+                        tracker.snapshot().into_iter().map(|(_, pv)| Some(pv)).collect();
+                    prop_assert_eq!(&mirror, &snap);
+                }
+            }
         }
     }
 

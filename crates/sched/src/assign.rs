@@ -62,6 +62,19 @@ pub trait OrderPolicy {
     fn priorities(&self) -> Option<Vec<(StageId, u64)>> {
         None
     }
+
+    /// [`Scheduler::drain_stage_priorities`] for this policy. The default
+    /// extends `out` with the full [`priorities`](Self::priorities)
+    /// snapshot.
+    fn drain_priorities(&mut self, out: &mut Vec<(StageId, u64)>) -> bool {
+        match self.priorities() {
+            Some(pvs) => {
+                out.extend(pvs);
+                true
+            }
+            None => false,
+        }
+    }
 }
 
 /// `ordering × placement` composed into a full [`Scheduler`].
@@ -277,6 +290,10 @@ impl Scheduler for OrderedScheduler {
 
     fn stage_priorities(&self) -> Option<Vec<(StageId, u64)>> {
         self.order.priorities()
+    }
+
+    fn drain_stage_priorities(&mut self, out: &mut Vec<(StageId, u64)>) -> bool {
+        self.order.drain_priorities(out)
     }
 
     fn set_tracing(&mut self, on: bool) {

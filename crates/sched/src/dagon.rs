@@ -81,6 +81,11 @@ impl OrderPolicy for DagonOrder {
     fn priorities(&self) -> Option<Vec<(StageId, u64)>> {
         Some(self.tracker.snapshot())
     }
+
+    fn drain_priorities(&mut self, out: &mut Vec<(StageId, u64)>) -> bool {
+        self.tracker.drain_changes(out);
+        true
+    }
 }
 
 pub struct DagonScheduler;

@@ -148,4 +148,8 @@ impl OrderPolicy for TenantFairOrder {
     fn priorities(&self) -> Option<Vec<(StageId, u64)>> {
         self.inner.priorities()
     }
+
+    fn drain_priorities(&mut self, out: &mut Vec<(StageId, u64)>) -> bool {
+        self.inner.drain_priorities(out)
+    }
 }

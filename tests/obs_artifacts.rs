@@ -186,6 +186,7 @@ const REGISTRY_KEYS: &[&str] = &[
     "sched/inv_index_rebuilds",
     "sched/inv_index_updates",
     "sched/locality_queries",
+    "sched/priority_pushes",
     "sched/ready_list_rebuilds",
     "sched/schedule_invocations",
     "sched/view_deltas",
