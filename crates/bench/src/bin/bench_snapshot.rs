@@ -3,9 +3,10 @@
 //! Runs the same workloads as the `sim_throughput` Criterion bench and
 //! writes `BENCH_7.json` at the repo root: per-workload wall-clock
 //! milliseconds, a per-scheduling-decision cost (`ns_per_decision`), and
-//! every `sched/` and `faults/` counter of the run's metrics registry,
-//! prefix stripped (`schedule_invocations`, `view_deltas`,
-//! `inv_index_*`, `exec_crashes`, …). Unlike Criterion
+//! every `sched/` and `faults/` counter of the run's metrics registry
+//! plus `cache/drop_execs_visited`, prefix stripped
+//! (`schedule_invocations`, `view_deltas`, `inv_index_*`,
+//! `exec_crashes`, `drop_execs_visited`, …). Unlike Criterion
 //! this is cheap enough for CI and produces a single machine-readable
 //! file to diff across commits.
 //!
@@ -67,8 +68,9 @@ struct Row {
     jain_fairness: Option<f64>,
     /// Process peak RSS in MiB after this row's runs.
     peak_rss_mb: Option<f64>,
-    /// The run's `sched/` and `faults/` registry counters, prefix
-    /// stripped, in registry key order: the row's counter columns.
+    /// The run's `sched/` and `faults/` registry counters and
+    /// `cache/drop_execs_visited`, prefix stripped, in registry key
+    /// order: the row's counter columns.
     counters: Vec<(String, u64)>,
 }
 
@@ -81,14 +83,19 @@ impl Row {
     }
 }
 
-/// `res`'s `sched/` and `faults/` counters with the prefix stripped.
+/// `res`'s `sched/` and `faults/` counters and its drop-pass work
+/// counter, with the prefix stripped.
 fn counter_columns(res: &SimResult) -> Vec<(String, u64)> {
     res.registry()
         .iter()
         .filter_map(|(key, m)| {
             let name = key
                 .strip_prefix("sched/")
-                .or_else(|| key.strip_prefix("faults/"))?;
+                .or_else(|| key.strip_prefix("faults/"))
+                .or_else(|| {
+                    key.strip_prefix("cache/")
+                        .filter(|&n| n == "drop_execs_visited")
+                })?;
             match m {
                 Metric::Counter(v) => Some((name.to_string(), *v)),
                 _ => None,

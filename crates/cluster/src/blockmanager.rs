@@ -9,14 +9,19 @@
 //! the same delta stream.
 //!
 //! Proactive drops are event-driven ([`DropPass`]): the profile and the
-//! BlockManagers record the blocks whose drop standing may have moved,
-//! and only those are offered to the policies.
+//! [`BlockManagers`] record the blocks whose drop standing may have
+//! moved, and only those are offered to the policies. The executors'
+//! record is one (executor, block) log, written by the only two
+//! mutators that make a block evictable, so a pass reads the
+//! BlockManagers that changed and no others.
 
 use std::collections::BTreeMap;
+use std::ops::{Index, IndexMut};
 
 use dagon_dag::{BlockId, SimTime, StageId};
 
 use crate::refprofile::RefProfile;
+use crate::topology::ExecId;
 
 /// A cache eviction/prefetch policy, as seen by one executor's
 /// BlockManager. Policies get the master's [`RefProfile`] on every decision
@@ -154,9 +159,6 @@ pub struct BlockManager {
     /// oracle).
     unpinned: Vec<BlockId>,
     policy: Box<dyn CachePolicy>,
-    /// Blocks that became resident and unpinned (a successful insert, or
-    /// the last pin released) since the last [`DropPass`], with repeats.
-    fresh: Vec<BlockId>,
 }
 
 impl BlockManager {
@@ -168,7 +170,6 @@ impl BlockManager {
             pinned: BTreeMap::new(),
             unpinned: Vec::new(),
             policy,
-            fresh: Vec::new(),
         }
     }
 
@@ -240,7 +241,10 @@ impl BlockManager {
         }
     }
 
-    pub fn unpin(&mut self, b: BlockId) {
+    /// Release one pin on `b`. Returns whether that was the last pin,
+    /// which makes `b` evictable. Reached from outside this module only
+    /// through [`BlockManagers::unpin`], which records that transition.
+    fn unpin(&mut self, b: BlockId) -> bool {
         if let Some(c) = self.pinned.get_mut(&b) {
             *c -= 1;
             if *c == 0 {
@@ -248,9 +252,10 @@ impl BlockManager {
                 if let Err(pos) = self.unpinned.binary_search(&b) {
                     self.unpinned.insert(pos, b);
                 }
-                self.fresh.push(b);
+                return true;
             }
         }
+        false
     }
 
     /// The unpinned resident blocks — the eviction candidates — in
@@ -270,13 +275,11 @@ impl BlockManager {
         self.unpinned == self.evictable()
     }
 
-    /// Is `b` resident and unpinned?
-    fn is_evictable(&self, b: BlockId) -> bool {
-        self.resident.contains_key(&b) && !self.pinned.contains_key(&b)
-    }
-
-    /// Try to insert `b` of `mb` MiB, evicting per policy as needed.
-    pub fn try_insert(
+    /// Try to insert `b` of `mb` MiB, evicting per policy as needed. A
+    /// successful insert makes `b` evictable; reached from outside this
+    /// module only through [`BlockManagers::try_insert`], which records
+    /// that.
+    fn try_insert(
         &mut self,
         b: BlockId,
         mb: f64,
@@ -312,7 +315,6 @@ impl BlockManager {
         }
         self.used_mb += mb;
         self.policy.on_insert(b, now);
-        self.fresh.push(b);
         InsertOutcome::Inserted { evicted }
     }
 
@@ -359,12 +361,6 @@ impl BlockManager {
             .is_empty()
     }
 
-    /// Has a block become evictable since the last [`DropPass`]?
-    #[cfg(debug_assertions)]
-    pub(crate) fn has_fresh(&self) -> bool {
-        !self.fresh.is_empty()
-    }
-
     /// The policy's prefetch pick over `candidates`; see
     /// [`CachePolicy::prefetch_pick`].
     pub fn prefetch_pick(
@@ -387,6 +383,92 @@ impl BlockManager {
     }
 }
 
+/// Every executor's BlockManager, and the log of the blocks that became
+/// evictable since the last [`DropPass`].
+///
+/// A block becomes evictable (resident and unpinned) only through a
+/// successful insert or the release of its last pin. Those two
+/// transitions are reachable only through this owner's
+/// [`try_insert`](Self::try_insert) and [`unpin`](Self::unpin), which
+/// append the `(executor, block)` pair to the log, so the log holds every
+/// such transition by construction. Every other BlockManager method is
+/// reached through indexing.
+// lint: incremental(fresh, mutators = [unpin, try_insert, run], init = [from_iter], oracle = check_sweep_idle)
+pub struct BlockManagers {
+    bms: Vec<BlockManager>,
+    /// `(executor, block)` for each block that became evictable since
+    /// the last [`DropPass`], in event order, with repeats.
+    fresh: Vec<(u32, BlockId)>,
+}
+
+impl FromIterator<BlockManager> for BlockManagers {
+    fn from_iter<I: IntoIterator<Item = BlockManager>>(iter: I) -> Self {
+        Self {
+            bms: iter.into_iter().collect(),
+            fresh: Vec::new(),
+        }
+    }
+}
+
+impl Index<usize> for BlockManagers {
+    type Output = BlockManager;
+
+    fn index(&self, i: usize) -> &BlockManager {
+        &self.bms[i]
+    }
+}
+
+impl IndexMut<usize> for BlockManagers {
+    fn index_mut(&mut self, i: usize) -> &mut BlockManager {
+        &mut self.bms[i]
+    }
+}
+
+impl BlockManagers {
+    pub fn len(&self) -> usize {
+        self.bms.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.bms.is_empty()
+    }
+
+    pub fn iter(&self) -> std::slice::Iter<'_, BlockManager> {
+        self.bms.iter()
+    }
+
+    /// Try to insert `b` of `mb` MiB into executor `e`'s cache, evicting
+    /// per its policy as needed, and log `b` when it is stored.
+    pub fn try_insert(
+        &mut self,
+        e: ExecId,
+        b: BlockId,
+        mb: f64,
+        now: SimTime,
+        profile: &RefProfile,
+    ) -> InsertOutcome {
+        let out = self.bms[e.index()].try_insert(b, mb, now, profile);
+        if matches!(out, InsertOutcome::Inserted { .. }) {
+            self.fresh.push((e.0, b));
+        }
+        out
+    }
+
+    /// Release one pin on `b` on executor `e`, logging `b` when that was
+    /// its last pin.
+    pub fn unpin(&mut self, e: ExecId, b: BlockId) {
+        if self.bms[e.index()].unpin(b) {
+            self.fresh.push((e.0, b));
+        }
+    }
+
+    /// Has a block become evictable since the last [`DropPass`]?
+    #[cfg(debug_assertions)]
+    pub(crate) fn has_fresh(&self) -> bool {
+        !self.fresh.is_empty()
+    }
+}
+
 /// The event-driven proactive drop pass, with its reused buffers.
 ///
 /// A full sweep would offer every executor's whole evictable set to
@@ -394,9 +476,10 @@ impl BlockManager {
 /// after one pass the only blocks that can turn into victims are those
 /// an event touched since: the ones `RefProfile::drain_changes` reports
 /// (a changed use list, or a reader stage whose `pv` crossed zero) and
-/// the ones a BlockManager made evictable. [`DropPass::run`] offers each
-/// executor exactly those, so it drops what the full sweep would, in the
-/// same (executor, block) order.
+/// the ones the [`BlockManagers`] log made evictable. [`DropPass::run`]
+/// offers each executor exactly those, so it drops what the full sweep
+/// would, in the same (executor, block) order, and reads only the
+/// BlockManagers those blocks sit on.
 #[derive(Default)]
 pub struct DropPass {
     blocks: Vec<BlockId>,
@@ -412,15 +495,18 @@ impl DropPass {
     /// allowed); `holders(b, out)` appends `(executor, b)` for a superset
     /// of the executors caching `b`. The victims are appended to `out` as
     /// `(executor, block)`: executors ascending, each executor's in the
-    /// order its policy returned them.
+    /// order its policy returned them. Returns the number of
+    /// BlockManagers whose state the pass read: every executor on the
+    /// first pass after `RefProfile::rebuild`, and otherwise the
+    /// executors of the changed pairs.
     pub fn run(
         &mut self,
-        bms: &mut [BlockManager],
+        bms: &mut BlockManagers,
         profile: &mut RefProfile,
         mut stage_blocks: impl FnMut(StageId, &mut Vec<BlockId>),
         mut holders: impl FnMut(BlockId, &mut Vec<(u32, BlockId)>),
         out: &mut Vec<(u32, BlockId)>,
-    ) {
+    ) -> usize {
         let rebuilt = profile.drain_changes(&mut self.blocks, &mut self.stages);
         if !self.stages.is_empty() {
             for &s in &self.stages {
@@ -433,30 +519,44 @@ impl DropPass {
         for &b in &self.blocks {
             holders(b, &mut self.pairs);
         }
-        for (e, bm) in (0u32..).zip(bms.iter_mut()) {
-            if rebuilt {
-                self.pairs.extend(bm.resident.keys().map(|&b| (e, b)));
+        if rebuilt {
+            for (e, bm) in (0u32..).zip(&bms.bms) {
+                self.pairs.extend(bm.unpinned.iter().map(|&b| (e, b)));
             }
-            // Taken, not drained: hundreds of idle retained buffers
-            // would show in peak heap.
-            self.pairs
-                .extend(std::mem::take(&mut bm.fresh).into_iter().map(|b| (e, b)));
         }
-        self.pairs.retain(|&(e, b)| bms[e as usize].is_evictable(b));
+        self.pairs.append(&mut bms.fresh);
         self.pairs.sort_unstable();
         self.pairs.dedup();
+        let mut visited = 0;
         let mut rest = &self.pairs[..];
         while let Some(&(e, _)) = rest.first() {
             let n = rest.partition_point(|p| p.0 == e);
+            let bm = &mut bms.bms[e as usize];
+            visited += 1;
+            // Keep the evictable pairs: one binary search in the
+            // maintained list, which `check_unpinned` proves equal to
+            // the resident, unpinned set.
             self.candidates.clear();
-            self.candidates.extend(rest[..n].iter().map(|p| p.1));
+            self.candidates.extend(
+                rest[..n]
+                    .iter()
+                    .map(|p| p.1)
+                    .filter(|b| bm.unpinned.binary_search(b).is_ok()),
+            );
             rest = &rest[n..];
-            let bm = &mut bms[e as usize];
+            if self.candidates.is_empty() {
+                continue;
+            }
             let victims = bm.policy.proactive_victims(&self.candidates, profile);
             for &v in &victims {
                 bm.drop_block(v);
             }
             out.extend(victims.into_iter().map(|v| (e, v)));
+        }
+        if rebuilt {
+            bms.len()
+        } else {
+            visited
         }
     }
 }
@@ -630,6 +730,72 @@ mod tests {
         assert!((bm.free_frac() - 0.75).abs() < 1e-9);
         let zero = BlockManager::new(0.0, Box::new(NoCache));
         assert_eq!(zero.free_frac(), 0.0);
+    }
+
+    /// Names every candidate as a proactive victim: a per-block filter
+    /// whose membership never changes, so only a block entering the
+    /// candidate set can make it drop something.
+    struct DropAllTest;
+    impl CachePolicy for DropAllTest {
+        fn policy_name(&self) -> &'static str {
+            "drop-all-test"
+        }
+        fn victim(
+            &mut self,
+            c: &[BlockId],
+            _i: Option<BlockId>,
+            _p: &RefProfile,
+        ) -> Option<BlockId> {
+            c.first().copied()
+        }
+        fn proactive_victims(&mut self, c: &[BlockId], _p: &RefProfile) -> Vec<BlockId> {
+            c.to_vec()
+        }
+    }
+
+    /// One drop pass over `bms` with no profile-side changes; returns
+    /// the victims and the number of BlockManagers the pass read.
+    fn drop_pass(
+        pass: &mut DropPass,
+        bms: &mut BlockManagers,
+        p: &mut RefProfile,
+    ) -> (Vec<(u32, BlockId)>, usize) {
+        let mut out = Vec::new();
+        let visited = pass.run(bms, p, |_, _| {}, |_, _| {}, &mut out);
+        (out, visited)
+    }
+
+    /// The log is written by `try_insert` and by the `unpin` that
+    /// releases the last pin, and only the logged executor is read: a
+    /// block pinned through its insert's pass drops at the pass after
+    /// its release, and a pass after no change reads no BlockManager.
+    #[test]
+    fn drop_pass_reads_only_the_logged_executors() {
+        let mut p = RefProfile::default();
+        let mut bms: BlockManagers = (0..3)
+            .map(|_| BlockManager::new(100.0, Box::new(DropAllTest)))
+            .collect();
+        let mut pass = DropPass::default();
+        let (e, b) = (ExecId(1), blk(0, 0));
+        assert!(matches!(
+            bms.try_insert(e, b, 10.0, 0, &p),
+            InsertOutcome::Inserted { .. }
+        ));
+        bms[1].pin(b);
+        bms[1].pin(b);
+        assert_eq!(drop_pass(&mut pass, &mut bms, &mut p), (vec![], 1));
+        assert_eq!(drop_pass(&mut pass, &mut bms, &mut p), (vec![], 0));
+        // The first release leaves a pin: nothing becomes evictable.
+        bms.unpin(e, b);
+        assert_eq!(drop_pass(&mut pass, &mut bms, &mut p), (vec![], 0));
+        bms.unpin(e, b);
+        let last = drop_pass(&mut pass, &mut bms, &mut p);
+        #[cfg(debug_assertions)]
+        for i in 0..bms.len() {
+            assert!(bms[i].check_sweep_idle(&p), "victim left on exec {i}");
+        }
+        assert_eq!(last, (vec![(1, b)], 1));
+        assert_eq!(drop_pass(&mut pass, &mut bms, &mut p), (vec![], 0));
     }
 
     /// Evicts the block with the smallest scrambled id, and refuses when

@@ -42,7 +42,7 @@ pub mod sim;
 pub mod topology;
 pub mod view;
 
-pub use blockmanager::{BlockManager, CachePolicy, DropPass, NoCache};
+pub use blockmanager::{BlockManager, BlockManagers, CachePolicy, DropPass, NoCache};
 pub use config::{ClusterConfig, CostModel, LocalityWait, SpeculationConfig};
 pub use event::{Event, EventQueue};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};

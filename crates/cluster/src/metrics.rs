@@ -294,6 +294,13 @@ pub struct Metrics {
     /// snapshots, and [`SchedulerStats`] must read the same with or
     /// without such a wrapper.
     pub priority_pushes: u64,
+    /// BlockManagers whose state a proactive drop pass read: every
+    /// executor on the first pass after a profile rebuild, and otherwise
+    /// only those holding a changed block (DESIGN.md §33). Registry key
+    /// `cache/drop_execs_visited`. Not in [`CacheStats`], which
+    /// `dagon_bench`'s harness compares whole across decorated and bare
+    /// runs.
+    pub drop_execs_visited: u64,
     /// Scheduling fast-path overhead counters.
     pub sched: SchedulerStats,
     /// Fault-injection and recovery counters.
@@ -317,6 +324,7 @@ impl Metrics {
             speculative_launched: 0,
             speculative_won: 0,
             priority_pushes: 0,
+            drop_execs_visited: 0,
             sched: SchedulerStats::default(),
             faults: FaultStats::default(),
         }
@@ -436,6 +444,7 @@ impl SimResult {
         r.counter("cache/prefetch_used", c.prefetch_used);
         r.counter("cache/lost", c.lost);
         r.counter("cache/resident_end", c.resident_end);
+        r.counter("cache/drop_execs_visited", self.metrics.drop_execs_visited);
         r.gauge("cache/hit_ratio", c.hit_ratio());
         r.gauge("cache/byte_hit_ratio", c.byte_hit_ratio());
         let s = &self.metrics.sched;

@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 use dagon_dag::{BlockId, JobDag, PriorityTracker, Resources, SimTime, StageId, TaskId};
 use dagon_obs::{EvictReason, KillReason, NullSink, SchedDecision, TraceEvent, TraceSink};
 
-use crate::blockmanager::{BlockManager, CachePolicy, DropPass, InsertOutcome};
+use crate::blockmanager::{BlockManager, BlockManagers, CachePolicy, DropPass, InsertOutcome};
 use crate::config::{ClusterConfig, ReadTier};
 use crate::event::{Event, EventQueue, ViewDelta};
 use crate::fault::{FaultKind, FaultRuntime};
@@ -110,7 +110,7 @@ enum AttemptEnd {
 // lint: incremental(jobs, mutators = [with_jobs, run, job_arrival, admit_job, reject_job, complete_stage, resubmit_task, launch, end_attempt], via = [on_arrival, admit_queued, on_stage_complete, on_stage_reopened, on_cores_consumed, on_cores_released], oracle = check_consistency)
 // lint: incremental(tick_dirty, mutators = [handle, launch, proactive_drops, resubmit_task], init = [new], oracle = check_quiet_tick)
 // lint: incremental(tasks, mutators = [launch, finish_task, fail_attempt, requeue_task, speculation_check, resubmit_task], init = [new], oracle = check_tasks)
-// lint: incremental(tracker, mutators = [launch, requeue_task, resubmit_task, sync_priorities], via = [on_task_launched, on_task_requeued, drain_changes], init = [new], oracle = check_priorities)
+// lint: incremental(tracker, mutators = [launch, requeue_task, resubmit_task, sync_priorities], init = [new], oracle = check_priorities)
 pub struct Simulation {
     dag: JobDag,
     cfg: ClusterConfig,
@@ -119,7 +119,7 @@ pub struct Simulation {
     /// [`ViewDelta`]s instead of per-opportunity rebuilds.
     cview: ClusterView,
     exec_busy_cores: Vec<u32>,
-    bms: Vec<BlockManager>,
+    bms: BlockManagers,
     /// Block residency: the incremental locality index, built from the
     /// initial [`DataMap`] placement and the only residency record after
     /// that.
@@ -141,8 +141,10 @@ pub struct Simulation {
     stage_durations: Vec<Vec<u64>>,
     profile: RefProfile,
     /// Ground-truth Eq. (6) tracker: the profile's `pv` source when the
-    /// scheduler keeps none.
-    tracker: PriorityTracker,
+    /// scheduler keeps none. Dropped at the first sync whose scheduler
+    /// drains its own priorities: that answer is fixed for the run, so
+    /// the tracker would never be read again.
+    tracker: Option<PriorityTracker>,
     /// Reused `sync_priorities` buffer of changed `(stage, pv)` pairs,
     /// sized up front for the first sync, which reports every stage.
     pv_buf: Vec<(StageId, u64)>,
@@ -208,7 +210,7 @@ impl Simulation {
         let topo = Topology::build(&cfg.racks, cfg.execs_per_node);
         let n_exec = topo.num_execs();
         let data = DataMap::place_sources(&dag, &topo, cfg.hdfs_replication, cfg.seed);
-        let bms: Vec<BlockManager> = (0..n_exec)
+        let bms: BlockManagers = (0..n_exec)
             .map(|_| BlockManager::new(cfg.exec_cache_mb, cache()))
             .collect();
         let mut task_inputs = Vec::with_capacity(dag.num_stages());
@@ -295,7 +297,7 @@ impl Simulation {
             tasks,
             stage_durations,
             profile,
-            tracker,
+            tracker: Some(tracker),
             pv_buf,
             queue: EventQueue::new(),
             metrics,
@@ -793,7 +795,7 @@ impl Simulation {
                     });
                 }
                 if self.bms[exec.index()].caches_on_miss() {
-                    match self.bms[exec.index()].try_insert(b, mb, self.now, &self.profile) {
+                    match self.bms.try_insert(exec, b, mb, self.now, &self.profile) {
                         InsertOutcome::Inserted { evicted } => {
                             self.metrics.cache.insertions += 1;
                             self.metrics.cache.evictions += evicted.len() as u64;
@@ -928,7 +930,9 @@ impl Simulation {
                 a.stage.index(),
             );
             let work = task_work;
-            self.tracker.on_task_launched(task, work);
+            if let Some(tracker) = &mut self.tracker {
+                tracker.on_task_launched(task, work);
+            }
             sched.on_task_launched(task, work, self.now);
             self.sync_priorities(sched);
         } else {
@@ -996,7 +1000,8 @@ impl Simulation {
             }
         }
         if self.dag.rdd(out.rdd).cached {
-            match self.bms[exec.index()].try_insert(
+            match self.bms.try_insert(
+                exec,
                 out,
                 self.dag.rdd(out.rdd).block_mb,
                 self.now,
@@ -1043,11 +1048,14 @@ impl Simulation {
     /// into the master's reference profile: from the scheduler when it
     /// maintains Eq. (6) (the paper's TaskScheduler feeds
     /// BlockManagerMaster), otherwise from the ground-truth tracker. Only
-    /// the changed pairs are pushed (DESIGN.md §32).
+    /// the changed pairs are pushed (DESIGN.md §32). The first scheduler
+    /// drain reports every stage, so the tracker goes at that point.
     fn sync_priorities(&mut self, sched: &mut dyn Scheduler) {
         let mut pvs = std::mem::take(&mut self.pv_buf);
-        if !sched.drain_stage_priorities(&mut pvs) {
-            self.tracker.drain_changes(&mut pvs);
+        if sched.drain_stage_priorities(&mut pvs) {
+            self.tracker = None;
+        } else if let Some(tracker) = &mut self.tracker {
+            tracker.drain_changes(&mut pvs);
         }
         self.metrics.priority_pushes += pvs.len() as u64;
         for &(s, pv) in &pvs {
@@ -1064,14 +1072,17 @@ impl Simulation {
 
     /// Oracle for `sync_priorities`: every stage's profile `pv` equals its
     /// full source value, the scheduler's snapshot or else the tracker's.
+    /// A scheduler without priorities after the tracker was dropped fails
+    /// it: its answer must not change during a run.
     #[cfg(debug_assertions)]
     fn check_priorities(&self, sched: &dyn Scheduler) -> bool {
-        match sched.stage_priorities() {
-            Some(pvs) => pvs.into_iter().all(|(s, pv)| self.profile.pv(s) == pv),
-            None => self
+        match (sched.stage_priorities(), &self.tracker) {
+            (Some(pvs), _) => pvs.into_iter().all(|(s, pv)| self.profile.pv(s) == pv),
+            (None, Some(tracker)) => self
                 .dag
                 .stage_ids()
-                .all(|s| self.profile.pv(s) == self.tracker.pv(s)),
+                .all(|s| self.profile.pv(s) == tracker.pv(s)),
+            (None, None) => false,
         }
     }
 
@@ -1109,7 +1120,7 @@ impl Simulation {
         }
         self.metrics.running_tasks.add(self.now, -1.0);
         for b in &ra.pinned {
-            self.bms[exec.index()].unpin(*b);
+            self.bms.unpin(exec, *b);
         }
         self.metrics.task_runs.push(TaskRun {
             task,
@@ -1305,7 +1316,7 @@ impl Simulation {
         let mut victims = std::mem::take(&mut self.drop_victims);
         let (task_inputs, tasks) = (&self.task_inputs, &self.tasks);
         let data = &self.data;
-        self.drop_pass.run(
+        let visited = self.drop_pass.run(
             &mut self.bms,
             &mut self.profile,
             |s, out| {
@@ -1319,6 +1330,7 @@ impl Simulation {
             |b, out| out.extend(data.cached_execs(b).map(|e| (e.0, b))),
             &mut victims,
         );
+        self.metrics.drop_execs_visited += visited as u64;
         #[cfg(debug_assertions)]
         for i in 0..self.bms.len() {
             let idle = self.bms[i].check_sweep_idle(&self.profile);
@@ -1395,7 +1407,7 @@ impl Simulation {
         if self.profile.has_changes()
             || self.profile.has_live_flips()
             || self.data.has_candidate_flips()
-            || self.bms.iter().any(BlockManager::has_fresh)
+            || self.bms.has_fresh()
         {
             return false;
         }
@@ -1526,7 +1538,8 @@ impl Simulation {
             && self.profile.is_live(block)
         {
             if let InsertOutcome::Inserted { .. } =
-                self.bms[i].try_insert(block, mb, self.now, &self.profile)
+                self.bms
+                    .try_insert(exec, block, mb, self.now, &self.profile)
             {
                 self.metrics.cache.insertions += 1;
                 self.data.add_cached(block, exec);
@@ -1727,7 +1740,9 @@ impl Simulation {
         );
         self.tasks[task.stage.index()][task.index as usize].speculated = false;
         let work = self.dag.stage(task.stage).task_work(task.index);
-        self.tracker.on_task_requeued(task, work);
+        if let Some(tracker) = &mut self.tracker {
+            tracker.on_task_requeued(task, work);
+        }
         sched.on_task_requeued(task, work, self.now);
         self.sync_priorities(sched);
     }
@@ -1938,7 +1953,9 @@ impl Simulation {
             self.profile.add_use(b, ps);
         }
         let work = self.dag.stage(ps).task_work(k);
-        self.tracker.on_task_requeued(TaskId::new(ps, k), work);
+        if let Some(tracker) = &mut self.tracker {
+            tracker.on_task_requeued(TaskId::new(ps, k), work);
+        }
         sched.on_task_requeued(TaskId::new(ps, k), work, self.now);
         // Readiness under the *current* parent state — a parent may itself
         // be resubmitted later in this same recovery pass, which un-readies

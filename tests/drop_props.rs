@@ -4,13 +4,16 @@
 //! exactly what a full sweep of every executor's evictable set would, in
 //! the same (executor, block) order. This is the soundness argument of
 //! DESIGN.md §22 checked step by step: a block can only turn into a
-//! victim through an event the profile or a BlockManager recorded.
+//! victim through an event the profile or the BlockManagers' fresh log
+//! recorded. The log is written only through the `BlockManagers`
+//! mutators the simulator calls, and a pass after no change must read
+//! no BlockManager (DESIGN.md §33).
 
 // Test-only id mints from small generated counts.
 #![allow(clippy::cast_possible_truncation)]
 
 use dagon_cache::PolicyKind;
-use dagon_cluster::{BlockManager, DropPass, RefProfile};
+use dagon_cluster::{BlockManager, BlockManagers, DropPass, ExecId, RefProfile};
 use dagon_dag::generate::{random_dag, GenParams};
 use dagon_dag::{BlockId, DepKind, JobDag, PriorityTracker, StageId};
 use proptest::prelude::*;
@@ -81,10 +84,10 @@ fn stage_reads(dag: &JobDag) -> Vec<Vec<BlockId>> {
 
 /// What a full sweep drops right now: each executor's whole evictable
 /// set offered to a fresh instance of the policy, executors ascending.
-fn full_sweep(kind: PolicyKind, bms: &[BlockManager], profile: &RefProfile) -> Vec<(u32, BlockId)> {
+fn full_sweep(kind: PolicyKind, bms: &BlockManagers, profile: &RefProfile) -> Vec<(u32, BlockId)> {
     let mut policy = kind.build();
     (0u32..)
-        .zip(bms)
+        .zip(bms.iter())
         .flat_map(|(e, bm)| {
             policy
                 .proactive_victims(&bm.evictable(), profile)
@@ -95,7 +98,10 @@ fn full_sweep(kind: PolicyKind, bms: &[BlockManager], profile: &RefProfile) -> V
 }
 
 /// Replay `steps` under `kind` on `n_exec` BlockManagers, running one
-/// drop pass after every step and comparing it with the full sweep.
+/// drop pass after every step and comparing it with the full sweep. The
+/// first pass (after the profile's rebuild) must read every BlockManager,
+/// and a second pass right after any pass must read none and drop
+/// nothing.
 fn check_history(dag: &JobDag, kind: PolicyKind, n_exec: usize, steps: &[Step]) {
     let reads = stage_reads(dag);
     let blocks: Vec<BlockId> = dag.rdds().iter().flat_map(|r| r.blocks()).collect();
@@ -103,7 +109,7 @@ fn check_history(dag: &JobDag, kind: PolicyKind, n_exec: usize, steps: &[Step]) 
     let mut profile = RefProfile::with_pv(dag.stage_ids().map(|s| tracker.pv(s)).collect());
     profile.rebuild(dag, &|_, _| false, &|_| false);
     // Room for a few blocks, so inserts also evict under pressure.
-    let mut bms: Vec<BlockManager> = (0..n_exec)
+    let mut bms: BlockManagers = (0..n_exec)
         .map(|_| BlockManager::new(160.0, kind.build()))
         .collect();
     let mut pass = DropPass::default();
@@ -126,25 +132,25 @@ fn check_history(dag: &JobDag, kind: PolicyKind, n_exec: usize, steps: &[Step]) 
             Step::Insert { e, b } => {
                 let blk = blocks[b % blocks.len()];
                 let mb = dag.rdd(blk.rdd).block_mb;
-                let _ = bms[e % n_exec].try_insert(blk, mb, t as u64, &profile);
+                let _ = bms.try_insert(exec(e, n_exec), blk, mb, t as u64, &profile);
             }
             Step::Pin { e, b } | Step::Unpin { e, b } => {
-                let bm = &mut bms[e % n_exec];
-                let resident = bm.resident_blocks();
+                let e = exec(e, n_exec);
+                let resident = bms[e.index()].resident_blocks();
                 if resident.is_empty() {
                     continue;
                 }
                 let blk = resident[b % resident.len()];
                 if matches!(step, Step::Pin { .. }) {
-                    bm.pin(blk);
+                    bms[e.index()].pin(blk);
                 } else {
-                    bm.unpin(blk);
+                    bms.unpin(e, blk);
                 }
             }
         }
         let want = full_sweep(kind, &bms, &profile);
         got.clear();
-        pass.run(
+        let visited = pass.run(
             &mut bms,
             &mut profile,
             |s, out| out.extend_from_slice(&reads[s.index()]),
@@ -154,7 +160,38 @@ fn check_history(dag: &JobDag, kind: PolicyKind, n_exec: usize, steps: &[Step]) 
             &mut got,
         );
         prop_assert_eq!(&got, &want, "{} after step {} ({:?})", kind, t, step);
+        if t == 0 {
+            prop_assert_eq!(visited, n_exec, "{}: first pass after rebuild", kind);
+        }
+        prop_assert!(
+            visited <= n_exec,
+            "{} after step {}: visited {}",
+            kind,
+            t,
+            visited
+        );
+        got.clear();
+        let idle = pass.run(
+            &mut bms,
+            &mut profile,
+            |s, out| out.extend_from_slice(&reads[s.index()]),
+            |b, out| out.extend((0..n_exec as u32).map(|e| (e, b))),
+            &mut got,
+        );
+        prop_assert_eq!(
+            (idle, got.len()),
+            (0, 0),
+            "{} after step {} ({:?}): a pass after no change",
+            kind,
+            t,
+            step
+        );
     }
+}
+
+/// The `e`-th executor of `n_exec`, reduced modulo the fixture size.
+fn exec(e: usize, n_exec: usize) -> ExecId {
+    ExecId((e % n_exec) as u32)
 }
 
 proptest! {

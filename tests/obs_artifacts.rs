@@ -151,6 +151,7 @@ fn stage_timeline_and_summary_parse_and_cross_check() {
 /// pinned list; renaming or dropping one is a breaking change.
 const REGISTRY_KEYS: &[&str] = &[
     "cache/byte_hit_ratio",
+    "cache/drop_execs_visited",
     "cache/evictions",
     "cache/hit_kb",
     "cache/hit_ratio",
@@ -209,6 +210,10 @@ fn metrics_registry_snapshot_on_paper_scale_run() {
     let num = |k: &str| obj.get(k).and_then(Value::as_f64).unwrap();
     assert_eq!(count(num("cache/hits")), out.result.metrics.cache.hits);
     assert_eq!(count(num("run/jct_ms")), out.result.jct);
+    assert_eq!(
+        count(num("cache/drop_execs_visited")),
+        out.result.metrics.drop_execs_visited
+    );
     assert!((0.0..=1.0).contains(&num("cache/hit_ratio")));
     assert!((0.0..=1.0).contains(&num("run/cpu_utilization")));
     // The incremental ready list must never be rebuilt after startup.
