@@ -3,10 +3,12 @@
 //!
 //! BlockManagers track *capacity and policy state* only; block residency
 //! itself lives in the [`crate::locality_index::LocalityIndex`]'s
-//! residency bitsets. The simulator routes every admit/evict through the
-//! index's mutators, which is what lets the index maintain its derived
-//! state — the per-stage locality sets the placement probes read — from
-//! the same delta stream.
+//! residency bitsets. The simulator reports every block a BlockManager
+//! stores or drops to the index through two helpers, `cache_insert` and
+//! `uncache` (`block_loss` keeps its own lines for its different trace
+//! event; DESIGN.md §34). That one path is what lets the index maintain
+//! its derived state — the per-stage locality sets the placement probes
+//! read — from the same delta stream.
 //!
 //! Proactive drops are event-driven ([`DropPass`]): the profile and the
 //! [`BlockManagers`] record the blocks whose drop standing may have

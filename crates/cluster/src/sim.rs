@@ -106,7 +106,8 @@ enum AttemptEnd {
 
 /// One simulation run in progress.
 // lint: incremental(cview, mutators = [launch, do_schedule, end_attempt, complete_stage, fail_attempt, requeue_task, exec_crash, exec_restart, resubmit_task, with_jobs, admit_job, reject_job], via = [apply, init_ready_list, set_stage_schedulable], oracle = check_consistency)
-// lint: incremental(data, mutators = [with_jobs, launch, finish_task, complete_stage, proactive_drops, prefetch_scan, prefetch_arrive, exec_crash, block_loss, requeue_task, resubmit_task, admit_job, reject_job], via = [add_disk, add_cached, remove_cached, remove_disk], oracle = check_inv_consistency)
+// lint: incremental(data, mutators = [with_jobs, launch, finish_task, complete_stage, cache_insert, uncache, prefetch_scan, exec_crash, block_loss, requeue_task, resubmit_task, admit_job, reject_job], via = [add_disk, add_cached, remove_cached, remove_disk], oracle = check_inv_consistency)
+// lint: incremental(prefetched, mutators = [launch, cache_insert, uncache, block_loss], init = [new], oracle = check_residency)
 // lint: incremental(jobs, mutators = [with_jobs, run, job_arrival, admit_job, reject_job, complete_stage, resubmit_task, launch, end_attempt], via = [on_arrival, admit_queued, on_stage_complete, on_stage_reopened, on_cores_consumed, on_cores_released], oracle = check_consistency)
 // lint: incremental(tick_dirty, mutators = [handle, launch, proactive_drops, resubmit_task], init = [new], oracle = check_quiet_tick)
 // lint: incremental(tasks, mutators = [launch, finish_task, fail_attempt, requeue_task, speculation_check, resubmit_task], init = [new], oracle = check_tasks)
@@ -157,7 +158,7 @@ pub struct Simulation {
     /// speculation candidates, loser scans) is in deterministic key
     /// order by construction.
     running: BTreeMap<(TaskId, u32), RunningAttempt>,
-    prefetch_inflight: Vec<Option<(BlockId, f64)>>,
+    prefetch_inflight: Vec<Option<BlockId>>,
     /// The event-driven proactive drop pass and its reused buffers.
     drop_pass: DropPass,
     /// Reused victim buffer for `proactive_drops`.
@@ -173,7 +174,9 @@ pub struct Simulation {
     /// Ticks that skipped the cache work on a clear `tick_dirty`.
     #[cfg_attr(not(test), allow(dead_code))] // read by the unit tests only
     quiet_ticks: u64,
-    // lint: allow(hash-ordered): membership-only, never iterated
+    /// Per executor, the resident blocks the prefetcher brought in and no
+    /// task has read yet: a hit on one counts as `prefetch_used`.
+    // lint: allow(hash-ordered): membership, plus the order-free `all` of `check_residency`
     prefetched: Vec<HashSet<BlockId>>,
     completed_count: usize,
     rng: SmallRng,
@@ -308,7 +311,7 @@ impl Simulation {
             drop_victims: Vec::new(),
             tick_dirty: true,
             quiet_ticks: 0,
-            // lint: allow(hash-ordered): membership-only, never iterated
+            // lint: allow(hash-ordered): see the field
             prefetched: vec![HashSet::new(); n_exec],
             completed_count: 0,
             rng: SmallRng::seed_from_u64(cfg.seed ^ 0xd1ce_5eed),
@@ -372,31 +375,73 @@ impl Simulation {
         self.sink.record(self.now, ev);
     }
 
-    /// Record a cache admission with its policy and ref-count rationale.
-    fn trace_admit(&mut self, b: BlockId, exec: ExecId, mb: f64, prefetched: bool) {
-        let policy = self.bms[exec.index()].policy_name();
-        let refcount = self.profile.lrc_count(b);
-        self.trace(TraceEvent::CacheAdmit {
-            block: b,
-            exec: exec.0,
-            mb,
-            policy,
-            refcount,
-            prefetched,
-        });
+    /// Offer `b` (`mb` MiB) to `exec`'s cache: the one admission path
+    /// (DESIGN.md §34). The policy's capacity victims leave through
+    /// [`Self::uncache`]; an admitted block enters the locality index, and
+    /// `prefetched` when the prefetcher brought it. Returns whether `b`
+    /// was admitted.
+    fn cache_insert(&mut self, exec: ExecId, b: BlockId, mb: f64, prefetched: bool) -> bool {
+        let (evicted, admitted) = match self.bms.try_insert(exec, b, mb, self.now, &self.profile) {
+            InsertOutcome::Inserted { evicted } => (evicted, true),
+            InsertOutcome::Rejected { evicted } => (evicted, false),
+            InsertOutcome::AlreadyCached => return false,
+        };
+        for e in evicted {
+            // Victims dropped before the policy gave up stay dropped (as
+            // in Spark), but a rejected insert's victims keep their stale
+            // index entry: the golden-pinned artifact of DESIGN.md §9,
+            // which ROADMAP item 8(b) retires by passing `true` here.
+            self.uncache(exec, e, EvictReason::Capacity, admitted);
+        }
+        if !admitted {
+            return false;
+        }
+        self.metrics.cache.insertions += 1;
+        self.data.add_cached(b, exec);
+        if prefetched {
+            self.prefetched[exec.index()].insert(b);
+        }
+        if self.trace_on {
+            self.trace(TraceEvent::CacheAdmit {
+                block: b,
+                exec: exec.0,
+                mb,
+                policy: self.bms[exec.index()].policy_name(),
+                refcount: self.profile.lrc_count(b),
+                prefetched,
+            });
+        }
+        true
     }
 
-    /// Record a cache eviction with its policy and ref-count rationale.
-    fn trace_evict(&mut self, b: BlockId, exec: ExecId, reason: EvictReason) {
-        let policy = self.bms[exec.index()].policy_name();
-        let refcount = self.profile.lrc_count(b);
-        self.trace(TraceEvent::CacheEvict {
-            block: b,
-            exec: exec.0,
-            policy,
-            refcount,
-            reason,
-        });
+    /// Record that `exec`'s BlockManager let `b` go, for `reason`: the one
+    /// removal path besides `block_loss`, whose trace event differs
+    /// (DESIGN.md §34). Counts it in the ledger, drops its index entry
+    /// when `unindex`, forgets it was prefetched, queues it for the
+    /// lineage check when faults are on, and traces it.
+    fn uncache(&mut self, exec: ExecId, b: BlockId, reason: EvictReason, unindex: bool) {
+        let cache = &mut self.metrics.cache;
+        *match reason {
+            EvictReason::Capacity => &mut cache.evictions,
+            EvictReason::Proactive => &mut cache.proactive_evictions,
+            EvictReason::Fault => &mut cache.lost,
+        } += 1;
+        if unindex {
+            self.data.remove_cached(b, exec);
+        }
+        self.prefetched[exec.index()].remove(&b);
+        if self.faults.enabled() {
+            self.lost_pending.push(b);
+        }
+        if self.trace_on {
+            self.trace(TraceEvent::CacheEvict {
+                block: b,
+                exec: exec.0,
+                policy: self.bms[exec.index()].policy_name(),
+                refcount: self.profile.lrc_count(b),
+                reason,
+            });
+        }
     }
 
     /// Run to completion under `sched`. Panics if the configuration can
@@ -624,6 +669,10 @@ impl Simulation {
             self.check_tasks(),
             "task table drifted from the running attempts"
         );
+        debug_assert!(
+            self.check_residency(),
+            "cache residency drifted from the locality index or `prefetched`"
+        );
         #[cfg(debug_assertions)]
         if let Some(jobs) = self.jobs.as_ref() {
             // Rebuild the per-tenant cores ledger from the authoritative
@@ -794,45 +843,10 @@ impl Simulation {
                         refcount,
                     });
                 }
-                if self.bms[exec.index()].caches_on_miss() {
-                    match self.bms.try_insert(exec, b, mb, self.now, &self.profile) {
-                        InsertOutcome::Inserted { evicted } => {
-                            self.metrics.cache.insertions += 1;
-                            self.metrics.cache.evictions += evicted.len() as u64;
-                            for e in evicted {
-                                self.data.remove_cached(e, exec);
-                                self.prefetched[exec.index()].remove(&e);
-                                if self.faults.enabled() {
-                                    self.lost_pending.push(e);
-                                }
-                                if self.trace_on {
-                                    self.trace_evict(e, exec, EvictReason::Capacity);
-                                }
-                            }
-                            self.data.add_cached(b, exec);
-                            self.bms[exec.index()].pin(b);
-                            pinned.push(b);
-                            if self.trace_on {
-                                self.trace_admit(b, exec, mb, false);
-                            }
-                        }
-                        InsertOutcome::Rejected { evicted } => {
-                            // Victims dropped before the policy gave up
-                            // stay dropped (as in Spark). Only the
-                            // storage ledger records them: the locality
-                            // index keeps serving the stale entry (the
-                            // long-pinned golden behavior), so reads
-                            // still resolve and lineage recovery never
-                            // needs to trigger for these.
-                            self.metrics.cache.evictions += evicted.len() as u64;
-                            if self.trace_on {
-                                for e in evicted {
-                                    self.trace_evict(e, exec, EvictReason::Capacity);
-                                }
-                            }
-                        }
-                        InsertOutcome::AlreadyCached => {}
-                    }
+                if self.bms[exec.index()].caches_on_miss() && self.cache_insert(exec, b, mb, false)
+                {
+                    self.bms[exec.index()].pin(b);
+                    pinned.push(b);
                 }
             }
         }
@@ -1000,43 +1014,7 @@ impl Simulation {
             }
         }
         if self.dag.rdd(out.rdd).cached {
-            match self.bms.try_insert(
-                exec,
-                out,
-                self.dag.rdd(out.rdd).block_mb,
-                self.now,
-                &self.profile,
-            ) {
-                InsertOutcome::Inserted { evicted } => {
-                    self.metrics.cache.insertions += 1;
-                    self.metrics.cache.evictions += evicted.len() as u64;
-                    for e in evicted {
-                        self.data.remove_cached(e, exec);
-                        self.prefetched[exec.index()].remove(&e);
-                        if self.faults.enabled() {
-                            self.lost_pending.push(e);
-                        }
-                        if self.trace_on {
-                            self.trace_evict(e, exec, EvictReason::Capacity);
-                        }
-                    }
-                    self.data.add_cached(out, exec);
-                    if self.trace_on {
-                        self.trace_admit(out, exec, self.dag.rdd(out.rdd).block_mb, false);
-                    }
-                }
-                InsertOutcome::Rejected { evicted } => {
-                    // Ledger-only, as in `launch`: the index keeps the
-                    // stale entries to preserve golden behavior.
-                    self.metrics.cache.evictions += evicted.len() as u64;
-                    if self.trace_on {
-                        for e in evicted {
-                            self.trace_evict(e, exec, EvictReason::Capacity);
-                        }
-                    }
-                }
-                InsertOutcome::AlreadyCached => {}
-            }
+            self.cache_insert(exec, out, self.dag.rdd(out.rdd).block_mb, false);
         }
 
         if stage_complete {
@@ -1340,23 +1318,32 @@ impl Simulation {
                 "evictable list drifted on exec {i}"
             );
         }
-        self.metrics.cache.proactive_evictions += victims.len() as u64;
         if !victims.is_empty() {
             self.tick_dirty = true;
         }
         for &(e, v) in &victims {
-            let exec = ExecId(e);
-            self.data.remove_cached(v, exec);
-            self.prefetched[exec.index()].remove(&v);
-            if self.faults.enabled() {
-                self.lost_pending.push(v);
-            }
-            if self.trace_on {
-                self.trace_evict(v, exec, EvictReason::Proactive);
-            }
+            self.uncache(ExecId(e), v, EvictReason::Proactive, true);
         }
         victims.clear();
         self.drop_victims = victims;
+    }
+
+    /// Oracle for the cache-transition path (DESIGN.md §34): on every
+    /// executor, each resident block is in the index's cached row, and
+    /// each `prefetched` block is resident. The row may hold more: a
+    /// rejected insert's victims keep their entry until ROADMAP item 8(b).
+    fn check_residency(&self) -> bool {
+        self.bms
+            .iter()
+            .zip(&self.prefetched)
+            .enumerate()
+            .all(|(i, (bm, pre))| {
+                let exec = ExecId(i as u32);
+                bm.resident_blocks()
+                    .into_iter()
+                    .all(|b| self.data.is_cached_in(b, exec))
+                    && pre.iter().all(|&b| bm.contains(b))
+            })
     }
 
     /// Oracle for one prefetch evaluation on executor `i`: `pick` is the
@@ -1505,7 +1492,7 @@ impl Simulation {
                     continue;
                 };
                 let mb = self.dag.rdd(b.rdd).block_mb;
-                self.prefetch_inflight[i] = Some((b, mb));
+                self.prefetch_inflight[i] = Some(b);
                 self.metrics.cache.prefetches += 1;
                 let dt = self
                     .cfg
@@ -1527,27 +1514,15 @@ impl Simulation {
         // after this transfer started — and may have restarted and begun a
         // different prefetch since. Only the transfer the slot still
         // describes may land.
-        if self.prefetch_inflight[i].map(|(b, _)| b) != Some(block) {
+        if self.prefetch_inflight[i] != Some(block) {
             return;
         }
         self.prefetch_inflight[i] = None;
         let mb = self.dag.rdd(block.rdd).block_mb;
         // Insert only into genuinely free space: prefetch never evicts.
-        if !self.bms[i].contains(block)
-            && self.bms[i].free_mb() >= mb
-            && self.profile.is_live(block)
-        {
-            if let InsertOutcome::Inserted { .. } =
-                self.bms
-                    .try_insert(exec, block, mb, self.now, &self.profile)
-            {
-                self.metrics.cache.insertions += 1;
-                self.data.add_cached(block, exec);
-                self.prefetched[i].insert(block);
-                if self.trace_on {
-                    self.trace_admit(block, exec, mb, true);
-                }
-            }
+        // An already-resident block is a no-op in `cache_insert`.
+        if self.bms[i].free_mb() >= mb && self.profile.is_live(block) {
+            self.cache_insert(exec, block, mb, true);
         }
     }
 
@@ -1776,25 +1751,18 @@ impl Simulation {
         for ((task, attempt), ra) in victims {
             self.fail_attempt(task, attempt, ra, AttemptEnd::Killed, sched);
         }
-        // 2. The executor's cache dies with it.
-        let lost = self.bms[i].crash_clear();
-        self.metrics.cache.lost += lost.len() as u64;
-        for b in lost {
-            self.data.remove_cached(b, exec);
-            if self.trace_on {
-                self.trace(TraceEvent::CacheEvict {
-                    block: b,
-                    exec: exec.0,
-                    policy: self.bms[i].policy_name(),
-                    refcount: self.profile.lrc_count(b),
-                    reason: EvictReason::Fault,
-                });
-            }
+        // 2. The executor's cache dies with it, and its in-flight
+        //    prefetch arrival goes stale.
+        for b in self.bms[i].crash_clear() {
+            self.uncache(exec, b, EvictReason::Fault, true);
         }
-        self.prefetched[i].clear();
-        self.prefetch_inflight[i] = None; // in-flight arrival goes stale
-                                          // 3. Output/shuffle files this executor wrote to its node's disk
-                                          //    are gone (no external shuffle service is modeled).
+        debug_assert!(
+            self.prefetched[i].is_empty(),
+            "a prefetched block outlived its executor's cache"
+        );
+        self.prefetch_inflight[i] = None;
+        // 3. Output/shuffle files this executor wrote to its node's disk
+        //    are gone (no external shuffle service is modeled).
         let outs = std::mem::take(&mut self.outputs_by_exec[i]);
         let node = self.topo.node_of_exec(exec);
         self.metrics.faults.disk_blocks_lost += outs.len() as u64;
@@ -2193,6 +2161,37 @@ mod tests {
             "{} of {ticks} ticks quiet",
             sim.quiet_ticks
         );
+    }
+
+    #[test]
+    fn rejected_insert_forgets_its_prefetched_victim() {
+        // A 100 MiB cache holds a prefetched 30 MiB block and a pinned
+        // 50 MiB one. An 80 MiB insert evicts the prefetched block, finds
+        // no other unpinned victim and is rejected.
+        let mut cfg = ClusterConfig::tiny(1, 1);
+        cfg.exec_cache_mb = 100.0;
+        let dag = tiny_chain(3, 1000);
+        let [x, z, y] = [0, 1, 2].map(|k| BlockId::new(dag.stage(StageId(0)).output, k));
+        let mut sim = Simulation::new(dag, cfg, || Box::new(AdmitAll(Vec::new())));
+        let exec = ExecId(0);
+        assert!(sim.cache_insert(exec, x, 30.0, true));
+        assert!(sim.cache_insert(exec, z, 50.0, false));
+        sim.bms[0].pin(z);
+        assert!(!sim.cache_insert(exec, y, 80.0, false));
+        assert_eq!(sim.metrics.cache.evictions, 1);
+        assert!(!sim.bms[0].contains(x));
+        assert!(
+            !sim.prefetched[0].contains(&x),
+            "the victim stayed prefetched"
+        );
+        // The victim keeps its stale index entry (DESIGN.md §9).
+        assert!(sim.data.is_cached_in(x, exec));
+        assert!(sim.check_residency());
+        // A miss-fill of the same block is no prefetch: a hit on it must
+        // not count as `prefetch_used`.
+        assert!(sim.cache_insert(exec, x, 30.0, false));
+        assert!(!sim.prefetched[0].contains(&x));
+        assert!(sim.check_residency());
     }
 
     #[test]

@@ -6,17 +6,21 @@
 //! chaos plans, so the recorder is proven inert on the recovery paths
 //! (crashes, lineage resubmission, blacklisting) too. A job mix run through
 //! dynamic admission is held to the same contract, job outcome rows
-//! included.
+//! included. The order of the cache-transition events themselves is
+//! pinned by digest, so a refactor of the admit/evict paths cannot
+//! reorder or drop one unnoticed.
 
 use dagon_cluster::{AdmissionConfig, ClusterConfig, ExecId, FaultKind, FaultPlan};
 use dagon_core::experiments::{multi_tenant_mix, ExpConfig};
-use dagon_core::tenancy::stream_simulation;
+use dagon_core::tenancy::{stream_simulation, sweep_tenants, TenantPolicy};
 use dagon_core::{run_stream_system, run_system, run_system_traced, System};
 use dagon_dag::examples::{fig1, tiny_chain};
+use dagon_dag::BlockId;
 use dagon_dag::JobDag;
-use dagon_obs::{RingRecorder, TraceEvent};
+use dagon_obs::{EvictReason, RingRecorder, TraceEvent, TraceLog};
 use dagon_profiler::AppProfiler;
-use dagon_workloads::Workload;
+use dagon_tenancy::{StreamOptions, TenantStream};
+use dagon_workloads::{Scale, Workload};
 
 fn scenarios() -> Vec<(&'static str, JobDag, ClusterConfig, System)> {
     let quick = ExpConfig::quick();
@@ -183,4 +187,101 @@ fn bounded_recorder_keeps_the_tail() {
     let skip = usize::try_from(total - 100).expect("the log fits in memory");
     let tail = &full.result.trace.records[skip..];
     assert_eq!(bounded.result.trace.records, tail);
+}
+
+/// `(count, digest)` of a log's cache transitions: FNV-1a over each
+/// `CacheAdmit`/`CacheEvict`/`BlockLost` event's time, kind, block,
+/// executor and reason (the prefetch flag for an admission), in log order.
+fn transition_digest(log: &TraceLog) -> (u64, u64) {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |x: u64| {
+        h ^= x;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    let mut n = 0;
+    for r in &log.records {
+        let (kind, block, exec, reason): (u64, BlockId, u32, u64) = match r.event {
+            TraceEvent::CacheAdmit {
+                block,
+                exec,
+                prefetched,
+                ..
+            } => (0, block, exec, u64::from(prefetched)),
+            TraceEvent::CacheEvict {
+                block,
+                exec,
+                reason,
+                ..
+            } => {
+                let reason = match reason {
+                    EvictReason::Capacity => 0,
+                    EvictReason::Proactive => 1,
+                    EvictReason::Fault => 2,
+                };
+                (1, block, exec, reason)
+            }
+            TraceEvent::BlockLost { block, exec } => (2, block, exec, 0),
+            _ => continue,
+        };
+        n += 1;
+        for x in [
+            r.at,
+            kind,
+            block.rdd.index() as u64,
+            u64::from(block.partition),
+            u64::from(exec),
+            reason,
+        ] {
+            mix(x);
+        }
+    }
+    (n, h)
+}
+
+/// The cache-transition event order, pinned: the CC chaos plan under
+/// Dagon (prefetching, proactive drops, crashes and block losses all
+/// fire) and a three-tenant stream under weighted-fair Dagon.
+#[test]
+fn cache_transition_order_is_pinned() {
+    let quick = ExpConfig::quick();
+    let dag = Workload::ConnectedComponent.build(&quick.scale);
+    let mut chaos = quick.cluster.clone();
+    let n_exec = chaos.total_nodes() * chaos.execs_per_node;
+    chaos.faults = Some(FaultPlan::chaos(11, n_exec, 60_000, &dag));
+    let out = run_system_traced(
+        &dag,
+        &chaos,
+        &System::dagon(),
+        Box::new(RingRecorder::unbounded()),
+    );
+    let chaos_digest = transition_digest(&out.result.trace);
+
+    let stream = TenantStream::generate(
+        &sweep_tenants(1.0),
+        1,
+        &Scale::tiny(),
+        &StreamOptions::default(),
+    );
+    let policy = TenantPolicy::WeightedFairDagon;
+    let est = AppProfiler::noisy(0.10, quick.cluster.seed).estimate(&stream.dag);
+    let mut sched = policy.build_scheduler(&stream, &est);
+    let traced = stream_simulation(
+        &stream,
+        &quick.cluster,
+        policy.cache_kind(),
+        AdmissionConfig::default(),
+    )
+    .with_sink(Box::new(RingRecorder::unbounded()))
+    .run(sched.as_mut());
+    let stream_digest = transition_digest(&traced.trace);
+    assert_eq!(
+        chaos_digest,
+        (4090, 5724870807662944879),
+        "CC-quick+chaos11"
+    );
+    assert_eq!(
+        stream_digest,
+        (14464, 14829525621455857492),
+        "tenant stream"
+    );
 }
